@@ -102,7 +102,7 @@ pub struct ChordOpReport {
 /// A Chord ring over the shared simulator substrate.
 #[derive(Debug)]
 pub struct ChordSystem {
-    net: SimNetwork<ChordMessage>,
+    net: SimNetwork,
     nodes: HashMap<PeerId, ChordNode>,
     /// Every live peer, kept sorted by [`PeerId`] — the order the old
     /// collect-and-sort `random_peer` sampled from, so seeded experiments
@@ -413,16 +413,15 @@ impl ChordSystem {
             if target.in_half_open_interval(node.id, node.successor.1) {
                 let successor = node.successor.0;
                 self.net
-                    .send_with_kind(
+                    .hop(
                         op,
                         current,
                         successor,
                         hops + 1,
                         LinkKind::Successor,
-                        ChordMessage::Lookup,
+                        &ChordMessage::Lookup,
                     )
                     .ok();
-                let _ = self.net.deliver_next();
                 messages += 1;
                 hops += 1;
                 return Ok((successor, messages, hops));
@@ -432,9 +431,8 @@ impl ChordSystem {
                 None => (node.successor.0, LinkKind::Successor),
             };
             self.net
-                .send_with_kind(op, current, next, hops + 1, kind, ChordMessage::Lookup)
+                .hop(op, current, next, hops + 1, kind, &ChordMessage::Lookup)
                 .ok();
-            let _ = self.net.deliver_next();
             messages += 1;
             hops += 1;
             current = next;
@@ -624,8 +622,10 @@ impl ChordSystem {
         self.net.depart_peer(peer);
 
         // Repair stale fingers: every node that pointed at the departed peer
-        // re-runs a lookup for that finger interval.
-        let stale: Vec<(PeerId, usize, ChordId)> = self
+        // re-runs a lookup for that finger interval.  `nodes` is a HashMap
+        // with a per-process seed, so the list is sorted to make the repair
+        // order (and with it the traced hops) the same on every run.
+        let mut stale: Vec<(PeerId, usize, ChordId)> = self
             .nodes
             .iter()
             .flat_map(|(p, n)| {
@@ -636,6 +636,7 @@ impl ChordSystem {
                 })
             })
             .collect();
+        stale.sort_unstable_by_key(|&(holder, k, _)| (holder, k));
         for (holder, k, start) in stale {
             let (owner, msgs, _) = self.lookup(op, holder, start)?;
             update_messages += msgs;
@@ -895,6 +896,25 @@ mod tests {
                 .validate()
                 .unwrap_or_else(|e| panic!("{n}-node ring invalid: {e}"));
         }
+    }
+
+    /// Two same-seed rings in one process hold their nodes in HashMaps with
+    /// different hash seeds; traced leaves must still repair stale fingers
+    /// in the same order and so record the same spans.
+    #[test]
+    fn same_seed_leaves_trace_identical_spans() {
+        let traced_leaves = || {
+            let mut system = ChordSystem::build(21, 64).unwrap();
+            system.set_trace(baton_net::TraceConfig::new(64));
+            for _ in 0..8 {
+                system.leave_random().unwrap();
+            }
+            let trace = system.take_trace().unwrap();
+            let spans: Vec<String> = trace.spans().map(|s| format!("{s:?}")).collect();
+            assert!(spans.iter().any(|s| s.contains("Finger")));
+            spans
+        };
+        assert_eq!(traced_leaves(), traced_leaves());
     }
 
     #[test]

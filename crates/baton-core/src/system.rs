@@ -105,7 +105,7 @@ impl PositionMap {
 /// One BATON overlay: peers, their tree state, and the simulated network.
 #[derive(Debug)]
 pub struct BatonSystem {
-    pub(crate) net: SimNetwork<BatonMessage>,
+    pub(crate) net: SimNetwork,
     /// Node state, slab-indexed by the dense peer id ([`PeerId::raw`]).
     /// Departed/failed peers leave `None` slots behind; ids are never
     /// reused (see [`baton_net::PeerRegistry`]).
@@ -526,9 +526,9 @@ impl BatonSystem {
         (height * self.config.walk_limit_factor).max(32)
     }
 
-    /// Sends one protocol message from `from` to `to` and delivers it,
-    /// charging it to `op`.  Returns `Ok(true)` if the destination was
-    /// alive, `Ok(false)` if the delivery failed (dead destination).
+    /// Sends one protocol message from `from` to `to`, charging it to `op`.
+    /// Returns `Ok(true)` if the destination was alive, `Ok(false)` if the
+    /// delivery failed (dead destination).
     pub(crate) fn hop(
         &mut self,
         op: OpScope,
@@ -545,13 +545,8 @@ impl BatonSystem {
             LinkKind::Other
         };
         self.net
-            .send_with_kind(op, from, to, hop_no, kind, message)
-            .map_err(|_| BatonError::PeerNotAlive(from))?;
-        match self.net.deliver_next() {
-            Some(Ok(_)) => Ok(true),
-            Some(Err(_)) => Ok(false),
-            None => Ok(true),
-        }
+            .hop(op, from, to, hop_no, kind, &message)
+            .map_err(|_| BatonError::PeerNotAlive(from))
     }
 
     /// The class of the link a `from → to` hop travels, from the sender's

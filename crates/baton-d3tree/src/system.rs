@@ -137,7 +137,7 @@ pub struct D3OpReport {
 /// The D3-Tree overlay.
 #[derive(Debug)]
 pub struct D3TreeSystem {
-    net: SimNetwork<D3Message>,
+    net: SimNetwork,
     rng: SimRng,
     domain: DRange,
     /// Backbone height; the backbone has `1 << height` leaf buckets.
@@ -312,7 +312,7 @@ impl D3TreeSystem {
         self.buckets.partition_point(|b| b.low() <= key) - 1
     }
 
-    /// One routed hop: counted, scheduled, delivered.  Hops between two
+    /// One routed hop: counted, timed, delivered.  Hops between two
     /// backbone roles hosted by the *same* peer are free (no message).
     fn hop(
         &mut self,
@@ -327,9 +327,8 @@ impl D3TreeSystem {
         }
         *hop_no += 1;
         self.net
-            .send_with_kind(op, from, to, *hop_no, kind, D3Message::Search)
+            .hop(op, from, to, *hop_no, kind, &D3Message::Search)
             .ok();
-        let _ = self.net.deliver_next();
         1
     }
 

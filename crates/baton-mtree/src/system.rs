@@ -107,7 +107,7 @@ pub struct MTreeOpReport {
 /// The multiway-tree overlay.
 #[derive(Debug)]
 pub struct MTreeSystem {
-    net: SimNetwork<MTreeMessage>,
+    net: SimNetwork,
     nodes: HashMap<PeerId, MNode>,
     /// Every live peer, kept sorted by [`PeerId`] — the order the old
     /// collect-and-sort `random_peer` sampled from, so seeded experiments
@@ -295,16 +295,15 @@ impl MTreeSystem {
                 }
             };
             self.net
-                .send_with_kind(
+                .hop(
                     op,
                     current,
                     next,
                     messages as u32 + 1,
                     kind,
-                    MTreeMessage::Search,
+                    &MTreeMessage::Search,
                 )
                 .ok();
-            let _ = self.net.deliver_next();
             messages += 1;
             current = next;
             if messages > limit {
@@ -786,16 +785,15 @@ impl MTreeSystem {
                 break;
             };
             self.net
-                .send_with_kind(
+                .hop(
                     op,
                     current,
                     next,
                     nodes_visited as u32,
                     LinkKind::Neighbor,
-                    MTreeMessage::Search,
+                    &MTreeMessage::Search,
                 )
                 .ok();
-            let _ = self.net.deliver_next();
             messages += 1;
             current = next;
             if nodes_visited > limit {

@@ -8,18 +8,19 @@
 //! mechanism by the **number of messages** exchanged between peers, not by
 //! wall-clock latency on a particular testbed.  The substrate is therefore a
 //! *deterministic* simulator: peers are logical entities identified by a
-//! [`PeerId`], messages are explicit [`Envelope`] values pushed through a
-//! [`SimNetwork`], and the network records per-kind, per-peer and
-//! per-operation counters in [`MessageStats`].
+//! [`PeerId`], every hop of a protocol is one [`SimNetwork::hop`] call
+//! carrying a [`NetMessage`] payload, and the network records per-kind,
+//! per-peer and per-operation counters in [`MessageStats`].
 //!
-//! Beyond the paper's count-only evaluation, the network is a
-//! **discrete-event engine with virtual time** ([`time`]): each send draws a
-//! link latency from a pluggable [`LatencyModel`] and is scheduled on a
-//! binary-heap event queue, operations carry start/finish timestamps, and an
-//! open-loop workload can interleave operations by advancing the arrival
-//! clock ([`SimNetwork::advance_to`]).  The default model is constant-zero
-//! latency, under which message counts are bit-identical to the original
-//! count-only substrate.
+//! Beyond the paper's count-only evaluation, the network keeps **virtual
+//! time** ([`time`]): each hop draws one link latency from a pluggable
+//! [`LatencyModel`] and lands that long after the operation's frontier (the
+//! arrival of its previous hop), operations carry start/finish timestamps,
+//! and an open-loop workload can interleave operations by advancing the
+//! arrival clock ([`SimNetwork::advance_to`]).  The overlays route
+//! synchronously, so there is no event queue.  The default model is
+//! constant-zero latency, under which message counts are bit-identical to
+//! the original count-only substrate.
 //!
 //! ## Design
 //!
@@ -36,14 +37,14 @@
 //!   (join, leave, search, …) in an [`OpScope`] so the harness can report the
 //!   *average messages per operation* series that every sub-figure of
 //!   Figure 8 plots.
-//! * **Wire realism.**  [`codec`] provides a compact binary encoding of
-//!   envelopes so byte-level traffic can also be accounted, even though the
-//!   paper itself only counts messages.
+//! * **Byte accounting.**  Each hop is also charged its payload's
+//!   [`NetMessage::approximate_size`] bytes, even though the paper itself
+//!   only counts messages.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use baton_net::{NetMessage, PeerId, SimNetwork};
+//! use baton_net::{LinkKind, NetMessage, SimNetwork};
 //!
 //! #[derive(Clone, Debug)]
 //! enum Ping { Ping, Pong }
@@ -53,22 +54,23 @@
 //!     }
 //! }
 //!
-//! let mut net: SimNetwork<Ping> = SimNetwork::new();
+//! let mut net = SimNetwork::new();
 //! let a = net.add_peer();
 //! let b = net.add_peer();
 //! let op = net.begin_op("rpc");
-//! net.send(op, a, b, Ping::Ping).unwrap();
-//! let env = net.deliver_next().unwrap().unwrap();
-//! assert_eq!(env.to, b);
-//! net.send(op, b, a, Ping::Pong).unwrap();
+//! // `Ok(true)`: the message reached a live peer.
+//! assert_eq!(net.hop(op, a, b, 1, LinkKind::Other, &Ping::Ping), Ok(true));
+//! net.fail_peer(a);
+//! // `Ok(false)`: the reply bounced off a dead peer; it is still counted.
+//! assert_eq!(net.hop(op, b, a, 2, LinkKind::Other, &Ping::Pong), Ok(false));
 //! net.finish_op(op);
 //! assert_eq!(net.stats().total_sent(), 2);
+//! assert_eq!(net.stats().total_failed(), 1);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod codec;
 pub mod message;
 pub mod network;
 pub mod overlay;
@@ -81,8 +83,8 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use message::{Envelope, NetMessage};
-pub use network::{DeliveryError, SendError, SimNetwork};
+pub use message::NetMessage;
+pub use network::{SendError, SimNetwork};
 pub use overlay::{
     ChurnCost, OpCost, Overlay, OverlayCapabilities, OverlayError, OverlayResult, RepairPolicy,
 };

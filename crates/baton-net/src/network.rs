@@ -1,36 +1,35 @@
-//! The [`SimNetwork`]: discrete-event message delivery, virtual time,
-//! failure injection and accounting glue.
+//! The [`SimNetwork`]: message accounting, virtual time, failure injection
+//! and the route-recorder hook.
 //!
-//! Messages are no longer a synchronous FIFO: every send draws a link
-//! latency from the network's [`LatencyModel`] and is scheduled on a
-//! binary-heap event queue keyed by virtual delivery time.  Two clocks
-//! cooperate:
+//! Every overlay routes synchronously: a hop is sent and answered before the
+//! protocol decides on the next one.  So there is no event queue.  One call,
+//! [`SimNetwork::hop`], performs a whole hop: it counts the message, draws
+//! one link latency, moves virtual time and reports whether the destination
+//! was alive.  Two clocks cooperate:
 //!
 //! * the **arrival clock** (moved by [`SimNetwork::advance_to`]) is where
 //!   newly issued operations begin — an open-loop workload advances it to
 //!   each operation's arrival time, so operations *interleave* in virtual
 //!   time instead of executing back-to-back;
-//! * each operation's **frontier** (tracked in [`OpStats`]) is the delivery
+//! * each operation's **frontier** (tracked in [`OpStats`]) is the arrival
 //!   time of the latest hop in its request chain — the next hop departs from
 //!   there, so an operation's latency is the sum of its own hop chain while
 //!   independent operations overlap freely.
 //!
 //! [`SimNetwork::now`] reports the high-water mark over both, i.e. the
 //! virtual instant the simulation has reached.  With the default
-//! constant-zero latency model every delivery happens "instantly": the queue
-//! degenerates to FIFO order (ties break by send sequence) and message
-//! counts are bit-identical to the old count-only substrate.
+//! constant-zero latency model no virtual time passes and message counts
+//! are bit-identical to the old count-only substrate.
+//!
+//! [`OpStats`]: crate::stats::OpStats
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use crate::message::{Envelope, NetMessage};
-use crate::peer::{PeerId, PeerRegistry, PeerStatus};
+use crate::message::NetMessage;
+use crate::peer::{PeerId, PeerRegistry};
 use crate::stats::{MessageStats, OpScope};
-use crate::time::{LatencyModel, RegionMap, SimTime};
+use crate::time::{LatencyModel, SimTime};
 use crate::trace::{HopRecord, LinkKind, TraceBuffer, TraceConfig};
 
-/// Error returned by [`SimNetwork::send`] when the *sender* is not a live
+/// Error returned by [`SimNetwork::hop`] when the *sender* is not a live
 /// peer (sending from a dead peer indicates a protocol bug, not a simulated
 /// fault, so it is an error rather than a counted failure).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,229 +51,17 @@ impl std::fmt::Display for SendError {
 
 impl std::error::Error for SendError {}
 
-/// Delivery failure surfaced by [`SimNetwork::deliver_next`]: the destination
-/// peer was dead when the message arrived.  Protocols use this to trigger
-/// their fault-tolerance paths (paper §III-C/D).
-#[derive(Clone, Debug)]
-pub struct DeliveryError<M> {
-    /// The message that could not be delivered.
-    pub envelope: Envelope<M>,
-    /// Status of the destination at delivery time.
-    pub destination_status: Option<PeerStatus>,
-}
-
-/// One scheduled delivery in the event queue.
+/// A deterministic message-passing network simulator with virtual time.
 ///
-/// Ordered by `(deliver_at, seq)`: earliest delivery first, and equal
-/// timestamps (the whole simulation, under the zero-latency model) fall back
-/// to send order, preserving the legacy FIFO semantics exactly.
-#[derive(Clone, Debug)]
-struct Scheduled<M> {
-    seq: u64,
-    envelope: Envelope<M>,
-}
-
-impl<M> Scheduled<M> {
-    fn deliver_at(&self) -> SimTime {
-        self.envelope.deliver_at
-    }
-}
-
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at() == other.deliver_at() && self.seq == other.seq
-    }
-}
-
-impl<M> Eq for Scheduled<M> {}
-
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deliver_at(), self.seq).cmp(&(other.deliver_at(), other.seq))
-    }
-}
-
-/// One region's slice of the sharded event queue.
-///
-/// `local` holds events whose source and destination live in this region —
-/// under a thread-per-region execution these run lock-free within the
-/// shard.  `inbound` holds events crossing into this region from another
-/// one; they are what the conservative time-window barrier synchronises on.
-#[derive(Clone, Debug)]
-struct Shard<M> {
-    local: BinaryHeap<Reverse<Scheduled<M>>>,
-    inbound: BinaryHeap<Reverse<Scheduled<M>>>,
-}
-
-impl<M> Shard<M> {
-    fn new() -> Self {
-        Self {
-            local: BinaryHeap::new(),
-            inbound: BinaryHeap::new(),
-        }
-    }
-}
-
-/// The event queue: a single heap under non-regional latency models, or one
-/// [`Shard`] per region when the network models a [`Regional`]
-/// (`LatencyModel::Regional`) topology.
-///
-/// The sharded form preserves the exact global delivery order of the single
-/// heap — every pop selects the globally minimal `(deliver_at, seq)` across
-/// all shard heaps — so sharding is invisible to message semantics and runs
-/// stay bit-deterministic regardless of how shards are driven.
-#[derive(Clone, Debug)]
-enum EventQueue<M> {
-    Single(BinaryHeap<Reverse<Scheduled<M>>>),
-    Sharded {
-        map: RegionMap,
-        shards: Vec<Shard<M>>,
-    },
-}
-
-impl<M> Default for EventQueue<M> {
-    fn default() -> Self {
-        EventQueue::Single(BinaryHeap::new())
-    }
-}
-
-impl<M> EventQueue<M> {
-    fn sharded(map: RegionMap) -> Self {
-        let shards = (0..map.regions()).map(|_| Shard::new()).collect();
-        EventQueue::Sharded { map, shards }
-    }
-
-    fn push(&mut self, item: Scheduled<M>) {
-        match self {
-            EventQueue::Single(heap) => heap.push(Reverse(item)),
-            EventQueue::Sharded { map, shards } => {
-                let from = map.region_of(item.envelope.from);
-                let to = map.region_of(item.envelope.to);
-                let shard = &mut shards[to as usize];
-                if from == to {
-                    shard.local.push(Reverse(item));
-                } else {
-                    shard.inbound.push(Reverse(item));
-                }
-            }
-        }
-    }
-
-    /// Key of the globally earliest event: `(deliver_at, seq)`.
-    fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heaps()
-            .filter_map(|heap| heap.peek().map(|Reverse(s)| (s.deliver_at(), s.seq)))
-            .min()
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<M>> {
-        match self {
-            EventQueue::Single(heap) => heap.pop().map(|Reverse(s)| s),
-            EventQueue::Sharded { shards, .. } => {
-                let mut best: Option<(usize, bool, (SimTime, u64))> = None;
-                for (i, shard) in shards.iter().enumerate() {
-                    for (is_local, heap) in [(true, &shard.local), (false, &shard.inbound)] {
-                        if let Some(Reverse(s)) = heap.peek() {
-                            let key = (s.deliver_at(), s.seq);
-                            if best.is_none_or(|(_, _, k)| key < k) {
-                                best = Some((i, is_local, key));
-                            }
-                        }
-                    }
-                }
-                let (i, is_local, _) = best?;
-                let heap = if is_local {
-                    &mut shards[i].local
-                } else {
-                    &mut shards[i].inbound
-                };
-                heap.pop().map(|Reverse(s)| s)
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.heaps().map(BinaryHeap::len).sum()
-    }
-
-    fn clear(&mut self) {
-        match self {
-            EventQueue::Single(heap) => heap.clear(),
-            EventQueue::Sharded { shards, .. } => {
-                for shard in shards {
-                    shard.local.clear();
-                    shard.inbound.clear();
-                }
-            }
-        }
-    }
-
-    /// Removes and returns every pending event (in no particular order);
-    /// used when the queue is restructured after a latency-model swap.
-    fn drain_all(&mut self) -> Vec<Scheduled<M>> {
-        let mut out = Vec::with_capacity(self.len());
-        match self {
-            EventQueue::Single(heap) => out.extend(heap.drain().map(|Reverse(s)| s)),
-            EventQueue::Sharded { shards, .. } => {
-                for shard in shards {
-                    out.extend(shard.local.drain().map(|Reverse(s)| s));
-                    out.extend(shard.inbound.drain().map(|Reverse(s)| s));
-                }
-            }
-        }
-        out
-    }
-
-    fn heaps(&self) -> impl Iterator<Item = &BinaryHeap<Reverse<Scheduled<M>>>> {
-        let (single, shards): (_, &[Shard<M>]) = match self {
-            EventQueue::Single(heap) => (Some(heap), &[][..]),
-            EventQueue::Sharded { shards, .. } => (None, shards.as_slice()),
-        };
-        single.into_iter().chain(
-            shards
-                .iter()
-                .flat_map(|s| [&s.local, &s.inbound].into_iter()),
-        )
-    }
-
-    fn shard_count(&self) -> usize {
-        match self {
-            EventQueue::Single(_) => 1,
-            EventQueue::Sharded { shards, .. } => shards.len(),
-        }
-    }
-
-    /// Earliest pending **cross-region** delivery, if any.
-    fn inter_region_frontier(&self) -> Option<SimTime> {
-        match self {
-            EventQueue::Single(_) => None,
-            EventQueue::Sharded { shards, .. } => shards
-                .iter()
-                .filter_map(|s| s.inbound.peek().map(|Reverse(e)| e.deliver_at()))
-                .min(),
-        }
-    }
-}
-
-/// A deterministic discrete-event message-passing network simulator.
-///
-/// Every send is counted in [`MessageStats`] and scheduled for delivery at
+/// Every hop is counted in [`MessageStats`] and lands at
 /// `frontier(op) + latency(src, dst)`; failed deliveries (dead destination)
-/// are counted separately and returned to the caller.
+/// are counted separately and reported to the caller.
 #[derive(Clone, Debug, Default)]
-pub struct SimNetwork<M> {
+pub struct SimNetwork {
     peers: PeerRegistry,
-    queue: EventQueue<M>,
-    next_seq: u64,
     /// Where newly issued operations begin (moved by `advance_to`).
     arrival_clock: SimTime,
-    /// High-water mark of every delivery scheduled or performed.
+    /// High-water mark of every hop and notification arrival.
     horizon: SimTime,
     latency: LatencyModel,
     stats: MessageStats,
@@ -283,7 +70,7 @@ pub struct SimNetwork<M> {
     trace: Option<Box<TraceBuffer>>,
 }
 
-impl<M: NetMessage> SimNetwork<M> {
+impl SimNetwork {
     /// Creates an empty network with no peers and the count-only
     /// (zero-latency) model.
     pub fn new() -> Self {
@@ -293,53 +80,15 @@ impl<M: NetMessage> SimNetwork<M> {
     /// Creates an empty network with an explicit latency model.
     pub fn with_latency(latency: LatencyModel) -> Self {
         Self {
-            peers: PeerRegistry::new(),
-            queue: latency
-                .region_map()
-                .map_or_else(EventQueue::default, EventQueue::sharded),
-            next_seq: 0,
-            arrival_clock: SimTime::ZERO,
-            horizon: SimTime::ZERO,
             latency,
-            stats: MessageStats::new(),
-            trace: None,
+            ..Self::default()
         }
     }
 
-    /// Replaces the latency model.
-    ///
-    /// Typically called right after construction; swapping models mid-run is
-    /// allowed (pending messages keep their already-drawn delivery times).
-    /// Installing a [`Regional`](LatencyModel::Regional) model restructures
-    /// the event queue into one shard per region (and a non-regional model
-    /// collapses it back to a single heap); pending events are re-filed into
-    /// the new layout without changing their delivery order.
+    /// Replaces the latency model.  Typically called right after
+    /// construction; later hops draw from the new model.
     pub fn set_latency_model(&mut self, latency: LatencyModel) {
-        let pending = self.queue.drain_all();
-        self.queue = latency
-            .region_map()
-            .map_or_else(EventQueue::default, EventQueue::sharded);
-        for item in pending {
-            self.queue.push(item);
-        }
         self.latency = latency;
-    }
-
-    /// Number of event-queue shards: one per region under a regional
-    /// latency model, otherwise 1.
-    pub fn shard_count(&self) -> usize {
-        self.queue.shard_count()
-    }
-
-    /// The conservative time-window barrier of the sharded queue: the
-    /// earliest pending **cross-region** delivery.  Every shard may safely
-    /// run its intra-region events up to (but not past) this instant without
-    /// observing another shard; delivering the cross-region event first
-    /// re-opens the window.  `None` when no cross-region event is pending
-    /// (or the queue is unsharded), meaning shards are fully independent
-    /// until the next inter-region send.
-    pub fn inter_region_frontier(&self) -> Option<SimTime> {
-        self.queue.inter_region_frontier()
     }
 
     /// The latency model in use.
@@ -353,14 +102,14 @@ impl<M: NetMessage> SimNetwork<M> {
     /// Protocols use this for delays that ride on the topology but are not
     /// messages — e.g. the failure-detection round-trip that offsets a
     /// deferred repair.  The draw comes from the same seeded streams as
-    /// message deliveries, so runs stay deterministic.
+    /// message hops, so runs stay deterministic.
     pub fn sample_latency(&mut self, from: PeerId, to: PeerId) -> SimTime {
         let at = self.now();
         self.latency.sample(from, to, at)
     }
 
     /// The virtual instant the simulation has reached: the latest of the
-    /// arrival clock and every delivery performed or scheduled.
+    /// arrival clock and every hop or notification arrival.
     pub fn now(&self) -> SimTime {
         self.horizon.max(self.arrival_clock)
     }
@@ -445,7 +194,7 @@ impl<M: NetMessage> SimNetwork<M> {
     /// Installs a route recorder: every sampled operation begun from now on
     /// records a [`Span`](crate::trace::Span) of its hops, bounded by the
     /// config's ring-buffer capacity.  Tracing is pure observation — it
-    /// never perturbs statistics, latency draws or the event queue.
+    /// never perturbs statistics or latency draws.
     pub fn set_trace(&mut self, config: TraceConfig) {
         self.trace = Some(Box::new(TraceBuffer::new(config)));
     }
@@ -467,55 +216,50 @@ impl<M: NetMessage> SimNetwork<M> {
         self.trace.as_deref()
     }
 
-    /// Sends a message from `from` to `to`, attributed to operation `op`,
-    /// with an explicit hop count.
+    /// Sends `message` from `from` to `to` as hop number `hop` of operation
+    /// `op`, and delivers it.  Returns `Ok(true)` if the destination was
+    /// alive and `Ok(false)` if the message bounced off a dead peer.
     ///
-    /// The message is counted immediately (the paper counts *passing
-    /// messages*, i.e. transmissions, regardless of whether the destination
-    /// turns out to be dead) and scheduled for delivery at the operation's
-    /// frontier plus one link-latency draw.
-    pub fn send_with_hop(
-        &mut self,
-        op: OpScope,
-        from: PeerId,
-        to: PeerId,
-        hop: u32,
-        payload: M,
-    ) -> Result<(), SendError> {
-        self.send_with_kind(op, from, to, hop, LinkKind::Other, payload)
-    }
-
-    /// [`send_with_hop`](Self::send_with_hop) with an explicit link-kind tag
-    /// for the route recorder.
+    /// The message is counted whatever its fate (the paper counts *passing
+    /// messages*, i.e. transmissions).  It departs the operation's frontier
+    /// and arrives one link-latency draw later; that arrival becomes the new
+    /// frontier, bounce or not, because a bounce takes wire time too.
     ///
-    /// Overlays call this from their send sites with the class of the link
-    /// the hop travels (BATON parent/child/adjacent/routing-table, Chord
-    /// successor/finger, …); the tag is only consumed when tracing is
-    /// enabled and never affects accounting or scheduling.
-    pub fn send_with_kind(
+    /// `kind` is the class of the link the hop travels (BATON
+    /// parent/child/adjacent/routing-table, Chord successor/finger, …); it
+    /// is only read by the route recorder and never affects accounting.
+    pub fn hop(
         &mut self,
         op: OpScope,
         from: PeerId,
         to: PeerId,
         hop: u32,
         kind: LinkKind,
-        payload: M,
-    ) -> Result<(), SendError> {
+        message: &impl NetMessage,
+    ) -> Result<bool, SendError> {
         match self.peers.status(from) {
             None => return Err(SendError::UnknownSender(from)),
             Some(status) if !status.is_alive() => return Err(SendError::DeadSender(from)),
             Some(_) => {}
         }
-        let bytes = payload.approximate_size();
-        let message = payload.kind();
-        self.stats.record_send(op.id, message, bytes, hop);
+        let label = message.kind();
+        self.stats
+            .record_send(op.id, label, message.approximate_size(), hop);
         let sent_at = self.stats.op_frontier(op.id).unwrap_or(self.arrival_clock);
-        let deliver_at = sent_at + self.latency.sample(from, to, sent_at);
-        self.horizon = self.horizon.max(deliver_at);
+        let arrive_at = sent_at + self.latency.sample(from, to, sent_at);
+        self.horizon = self.horizon.max(arrive_at);
+        self.stats.advance_op_frontier(op.id, arrive_at);
+        let delivered = self.peers.is_alive(to);
+        // `detour` is read before a bounce here opens the operation's
+        // detour: it says whether the op was already detouring when this
+        // hop left.
+        let detour = self.trace.is_some() && self.stats.op(op.id).is_some_and(|s| s.in_detour());
+        if delivered {
+            self.stats.record_delivery(to);
+        } else {
+            self.stats.record_failure(op.id);
+        }
         if let Some(trace) = &mut self.trace {
-            // Recorded optimistically as delivered; `deliver_next` flips
-            // the flag if the destination turns out to be dead.
-            let detour = self.stats.op(op.id).is_some_and(|s| s.in_detour());
             trace.record_hop(
                 op.id,
                 HopRecord {
@@ -523,53 +267,28 @@ impl<M: NetMessage> SimNetwork<M> {
                     to,
                     hop,
                     kind,
-                    message,
+                    message: label,
                     sent_at,
-                    arrive_at: deliver_at,
-                    delivered: true,
+                    arrive_at,
+                    delivered,
                     detour,
                 },
             );
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(Scheduled {
-            seq,
-            envelope: Envelope {
-                from,
-                to,
-                hop,
-                op: op.id,
-                deliver_at,
-                payload,
-            },
-        });
-        Ok(())
+        Ok(delivered)
     }
 
-    /// Sends a message with hop count 1 (first hop of an operation).
-    pub fn send(
-        &mut self,
-        op: OpScope,
-        from: PeerId,
-        to: PeerId,
-        payload: M,
-    ) -> Result<(), SendError> {
-        self.send_with_hop(op, from, to, 1, payload)
-    }
-
-    /// Counts a message without enqueuing it for delivery.
+    /// Counts a fire-and-forget notification.
     ///
     /// Several BATON maintenance steps are pure notifications whose replies
     /// carry no protocol state the simulation needs to model (e.g. "inform
     /// your children about the new node", paper §III-A). `count_message`
-    /// charges such traffic to the operation without forcing the caller to
-    /// round-trip a payload through the queue.
+    /// charges such traffic to the operation without a payload.
     ///
     /// Notifications still take time on the wire: each draws a latency and
     /// lands at `frontier(op) + latency`, extending the operation's
-    /// *completion* time — but, being fire-and-forget, they run in parallel
-    /// with the request chain and never push its frontier.
+    /// *completion* time — but, running in parallel with the request chain,
+    /// they never push its frontier.
     pub fn count_message(&mut self, op: OpScope, kind: &'static str, from: PeerId, to: PeerId) {
         self.stats.record_send(op.id, kind, 64, 1);
         let sent_at = self.stats.op_frontier(op.id).unwrap_or(self.arrival_clock);
@@ -601,52 +320,6 @@ impl<M: NetMessage> SimNetwork<M> {
         }
     }
 
-    /// Number of messages waiting for delivery.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Virtual delivery time of the next queued message, if any.
-    pub fn next_delivery_at(&self) -> Option<SimTime> {
-        self.queue.peek_key().map(|(at, _)| at)
-    }
-
-    /// Delivers the earliest queued message, advancing virtual time.
-    ///
-    /// * `None` — the queue is empty.
-    /// * `Some(Ok(envelope))` — the destination is alive; the caller should
-    ///   invoke the destination's handler.
-    /// * `Some(Err(DeliveryError))` — the destination is dead; the caller
-    ///   owns fault handling.  A bounce takes wire time like any delivery,
-    ///   so the operation's frontier advances either way.
-    #[allow(clippy::type_complexity)]
-    pub fn deliver_next(&mut self) -> Option<Result<Envelope<M>, DeliveryError<M>>> {
-        let scheduled = self.queue.pop()?;
-        let envelope = scheduled.envelope;
-        self.horizon = self.horizon.max(envelope.deliver_at);
-        self.stats
-            .advance_op_frontier(envelope.op, envelope.deliver_at);
-        let status = self.peers.status(envelope.to);
-        if status.is_some_and(PeerStatus::is_alive) {
-            self.stats.record_delivery(envelope.to);
-            Some(Ok(envelope))
-        } else {
-            self.stats.record_failure(envelope.op);
-            if let Some(trace) = &mut self.trace {
-                trace.mark_bounce(envelope.op, envelope.to, envelope.deliver_at);
-            }
-            Some(Err(DeliveryError {
-                envelope,
-                destination_status: status,
-            }))
-        }
-    }
-
-    /// Discards all queued messages (used between experiment phases).
-    pub fn drain_queue(&mut self) {
-        self.queue.clear();
-    }
-
     /// Messages attributed to operation `op` so far.
     pub fn op_messages(&self, op: OpScope) -> u64 {
         self.stats.op(op.id).map(|s| s.messages).unwrap_or(0)
@@ -672,30 +345,22 @@ mod tests {
         }
     }
 
-    fn two_peer_net() -> (SimNetwork<Msg>, PeerId, PeerId) {
+    fn two_peer_net() -> (SimNetwork, PeerId, PeerId) {
         let mut net = SimNetwork::new();
         let a = net.add_peer();
         let b = net.add_peer();
         (net, a, b)
     }
 
-    #[test]
-    fn send_and_deliver_fifo_order() {
-        let (mut net, a, b) = two_peer_net();
-        let op = net.begin_op("test");
-        net.send(op, a, b, Msg::Hello).unwrap();
-        net.send(op, b, a, Msg::World).unwrap();
-        assert_eq!(net.pending(), 2);
-        let first = net.deliver_next().unwrap().unwrap();
-        assert_eq!(first.payload, Msg::Hello);
-        assert_eq!(first.to, b);
-        let second = net.deliver_next().unwrap().unwrap();
-        assert_eq!(second.payload, Msg::World);
-        assert!(net.deliver_next().is_none());
-        assert_eq!(net.stats().total_sent(), 2);
-        assert_eq!(net.stats().total_delivered(), 2);
-        // Zero-latency model: no virtual time passes.
-        assert_eq!(net.now(), SimTime::ZERO);
+    fn ten_ms_net(peers: usize) -> (SimNetwork, Vec<PeerId>) {
+        let mut net = SimNetwork::with_latency(LatencyModel::constant(SimTime::from_millis(10)));
+        let ids = (0..peers).map(|_| net.add_peer()).collect();
+        (net, ids)
+    }
+
+    /// One hop of `op` along an untyped link.
+    fn send(net: &mut SimNetwork, op: OpScope, from: PeerId, to: PeerId, hop: u32, msg: Msg) {
+        net.hop(op, from, to, hop, LinkKind::Other, &msg).unwrap();
     }
 
     #[test]
@@ -703,7 +368,9 @@ mod tests {
         let (mut net, a, b) = two_peer_net();
         let op = net.begin_op("test");
         net.fail_peer(a);
-        let err = net.send(op, a, b, Msg::Hello).unwrap_err();
+        let err = net
+            .hop(op, a, b, 1, LinkKind::Other, &Msg::Hello)
+            .unwrap_err();
         assert_eq!(err, SendError::DeadSender(a));
         assert_eq!(net.stats().total_sent(), 0);
     }
@@ -713,26 +380,31 @@ mod tests {
         let (mut net, _a, b) = two_peer_net();
         let op = net.begin_op("test");
         let ghost = PeerId(999);
-        let err = net.send(op, ghost, b, Msg::Hello).unwrap_err();
+        let err = net
+            .hop(op, ghost, b, 1, LinkKind::Other, &Msg::Hello)
+            .unwrap_err();
         assert_eq!(err, SendError::UnknownSender(ghost));
     }
 
     #[test]
     fn delivery_to_dead_peer_is_counted_and_surfaced() {
-        let (mut net, a, b) = two_peer_net();
+        let (mut net, peers) = ten_ms_net(2);
+        let (a, b) = (peers[0], peers[1]);
         let op = net.begin_op("test");
-        net.send(op, a, b, Msg::Hello).unwrap();
         net.fail_peer(b);
-        let result = net.deliver_next().unwrap();
-        let err = result.unwrap_err();
-        assert_eq!(err.envelope.to, b);
-        assert_eq!(err.destination_status, Some(PeerStatus::Failed));
+        assert_eq!(
+            net.hop(op, a, b, 1, LinkKind::Other, &Msg::Hello),
+            Ok(false)
+        );
         assert_eq!(net.stats().total_failed(), 1);
         assert_eq!(net.stats().total_delivered(), 0);
         // The send itself is still counted: the paper counts transmissions.
         assert_eq!(net.stats().total_sent(), 1);
         assert_eq!(net.op_messages(op), 1);
-        assert_eq!(net.stats().op(op.id).unwrap().failed_deliveries, 1);
+        let stats = net.stats().op(op.id).unwrap();
+        assert_eq!(stats.failed_deliveries, 1);
+        // A bounce takes wire time: the frontier still advances.
+        assert_eq!(stats.frontier, SimTime::from_millis(10));
     }
 
     #[test]
@@ -740,7 +412,6 @@ mod tests {
         let (mut net, a, b) = two_peer_net();
         let op = net.begin_op("notify");
         net.count_message(op, "notify.children", a, b);
-        assert_eq!(net.pending(), 0);
         assert_eq!(net.op_messages(op), 1);
         assert_eq!(net.stats().total_delivered(), 1);
         net.fail_peer(b);
@@ -753,59 +424,47 @@ mod tests {
         let (mut net, a, b) = two_peer_net();
         let op = net.begin_op("test");
         net.depart_peer(b);
-        net.send(op, a, b, Msg::Hello).unwrap();
-        assert!(net.deliver_next().unwrap().is_err());
+        assert_eq!(
+            net.hop(op, a, b, 1, LinkKind::Other, &Msg::Hello),
+            Ok(false)
+        );
         net.revive_peer(b);
-        net.send(op, a, b, Msg::Hello).unwrap();
-        assert!(net.deliver_next().unwrap().is_ok());
+        assert_eq!(net.hop(op, a, b, 2, LinkKind::Other, &Msg::Hello), Ok(true));
     }
 
     #[test]
     fn hop_counts_are_preserved_and_tracked() {
         let (mut net, a, b) = two_peer_net();
         let op = net.begin_op("walk");
-        net.send_with_hop(op, a, b, 7, Msg::Hello).unwrap();
-        let env = net.deliver_next().unwrap().unwrap();
-        assert_eq!(env.hop, 7);
+        send(&mut net, op, a, b, 7, Msg::Hello);
         assert_eq!(net.stats().op(op.id).unwrap().max_hops, 7);
-    }
-
-    #[test]
-    fn drain_queue_discards_pending_messages() {
-        let (mut net, a, b) = two_peer_net();
-        let op = net.begin_op("test");
-        net.send(op, a, b, Msg::Hello).unwrap();
-        net.send(op, a, b, Msg::Hello).unwrap();
-        net.drain_queue();
-        assert_eq!(net.pending(), 0);
-        assert!(net.deliver_next().is_none());
     }
 
     #[test]
     fn per_kind_counters() {
         let (mut net, a, b) = two_peer_net();
         let op = net.begin_op("test");
-        net.send(op, a, b, Msg::Hello).unwrap();
-        net.send(op, a, b, Msg::Hello).unwrap();
-        net.send(op, a, b, Msg::World).unwrap();
+        send(&mut net, op, a, b, 1, Msg::Hello);
+        send(&mut net, op, a, b, 1, Msg::Hello);
+        send(&mut net, op, a, b, 1, Msg::World);
         assert_eq!(net.stats().kind_count("hello"), 2);
         assert_eq!(net.stats().kind_count("world"), 1);
     }
 
     #[test]
     fn constant_latency_accumulates_along_a_hop_chain() {
-        let mut net: SimNetwork<Msg> =
-            SimNetwork::with_latency(LatencyModel::constant(SimTime::from_millis(10)));
-        let a = net.add_peer();
-        let b = net.add_peer();
-        let c = net.add_peer();
+        let (mut net, peers) = ten_ms_net(3);
         let op = net.begin_op("chain");
-        net.send_with_hop(op, a, b, 1, Msg::Hello).unwrap();
-        let env = net.deliver_next().unwrap().unwrap();
-        assert_eq!(env.deliver_at, SimTime::from_millis(10));
-        net.send_with_hop(op, b, c, 2, Msg::Hello).unwrap();
-        let env = net.deliver_next().unwrap().unwrap();
-        assert_eq!(env.deliver_at, SimTime::from_millis(20));
+        send(&mut net, op, peers[0], peers[1], 1, Msg::Hello);
+        assert_eq!(
+            net.stats().op_frontier(op.id),
+            Some(SimTime::from_millis(10))
+        );
+        send(&mut net, op, peers[1], peers[2], 2, Msg::Hello);
+        assert_eq!(
+            net.stats().op_frontier(op.id),
+            Some(SimTime::from_millis(20))
+        );
         net.finish_op(op);
         assert_eq!(
             net.stats().op(op.id).unwrap().latency(),
@@ -816,10 +475,8 @@ mod tests {
 
     #[test]
     fn operations_started_at_different_arrivals_overlap() {
-        let mut net: SimNetwork<Msg> =
-            SimNetwork::with_latency(LatencyModel::constant(SimTime::from_millis(10)));
-        let a = net.add_peer();
-        let b = net.add_peer();
+        let (mut net, peers) = ten_ms_net(2);
+        let (a, b) = (peers[0], peers[1]);
         // Op 1 arrives at t=0 and takes two 10ms hops -> finishes at 20ms.
         let op1 = net.begin_op("op1");
         // Op 2 arrives at t=5ms and takes one hop -> finishes at 15ms,
@@ -827,14 +484,11 @@ mod tests {
         net.advance_to(SimTime::from_millis(5));
         let op2 = net.begin_op("op2");
 
-        net.send(op1, a, b, Msg::Hello).unwrap();
-        net.deliver_next().unwrap().unwrap();
-        net.send_with_hop(op1, b, a, 2, Msg::Hello).unwrap();
-        net.deliver_next().unwrap().unwrap();
+        send(&mut net, op1, a, b, 1, Msg::Hello);
+        send(&mut net, op1, b, a, 2, Msg::Hello);
         net.finish_op(op1);
 
-        net.send(op2, a, b, Msg::World).unwrap();
-        net.deliver_next().unwrap().unwrap();
+        send(&mut net, op2, a, b, 1, Msg::World);
         net.finish_op(op2);
 
         let s1 = net.stats().op(op1.id).unwrap();
@@ -847,51 +501,14 @@ mod tests {
     }
 
     #[test]
-    fn queued_deliveries_pop_in_timestamp_order() {
-        let mut net: SimNetwork<Msg> = SimNetwork::with_latency(LatencyModel::uniform(
-            SimTime::from_micros(100),
-            SimTime::from_millis(50),
-            1234,
-        ));
-        let a = net.add_peer();
-        let b = net.add_peer();
-        // Independent ops: each message departs its own op's frontier (t=0)
-        // with a random latency, so queue order != send order.
-        let ops: Vec<_> = (0..32).map(|i| net.begin_op(&format!("op{i}"))).collect();
-        for op in &ops {
-            net.send(*op, a, b, Msg::Hello).unwrap();
-        }
-        let mut last = SimTime::ZERO;
-        let mut seen = 0;
-        while let Some(result) = net.deliver_next() {
-            let env = result.unwrap();
-            assert!(
-                env.deliver_at >= last,
-                "event queue went backwards: {} after {}",
-                env.deliver_at,
-                last
-            );
-            last = env.deliver_at;
-            seen += 1;
-        }
-        assert_eq!(seen, 32);
-        assert_eq!(net.now(), last.max(SimTime::ZERO));
-    }
-
-    #[test]
     fn notifications_extend_completion_but_not_the_frontier() {
-        let mut net: SimNetwork<Msg> =
-            SimNetwork::with_latency(LatencyModel::constant(SimTime::from_millis(10)));
-        let a = net.add_peer();
-        let b = net.add_peer();
-        let c = net.add_peer();
+        let (mut net, peers) = ten_ms_net(3);
         let op = net.begin_op("broadcast");
-        net.send(op, a, b, Msg::Hello).unwrap();
-        net.deliver_next().unwrap().unwrap();
+        send(&mut net, op, peers[0], peers[1], 1, Msg::Hello);
         // Three parallel notifications from the frontier (10ms): each lands
         // at 20ms without pushing the frontier.
-        for target in [a, b, c] {
-            net.count_message(op, "notify", b, target);
+        for &target in &peers {
+            net.count_message(op, "notify", peers[1], target);
         }
         assert_eq!(
             net.stats().op_frontier(op.id),
@@ -905,137 +522,30 @@ mod tests {
     }
 
     #[test]
-    fn next_delivery_at_peeks_the_earliest_event() {
-        let (mut net, a, b) = two_peer_net();
-        assert_eq!(net.next_delivery_at(), None);
-        let op = net.begin_op("peek");
-        net.send(op, a, b, Msg::Hello).unwrap();
-        assert_eq!(net.next_delivery_at(), Some(SimTime::ZERO));
-    }
-
-    fn regional_model(seed: u64) -> LatencyModel {
-        LatencyModel::regional(
-            RegionMap::new(4, 0xBA70),
-            LatencyModel::log_normal(SimTime::from_millis(5), 0.5, seed),
-            LatencyModel::log_normal(SimTime::from_millis(60), 0.5, seed ^ 1),
-            Vec::new(),
-        )
-    }
-
-    #[test]
-    fn regional_model_shards_the_queue_by_region() {
-        let mut net: SimNetwork<Msg> = SimNetwork::with_latency(regional_model(5));
-        assert_eq!(net.shard_count(), 4);
-        let peers: Vec<_> = (0..32).map(|_| net.add_peer()).collect();
-        let ops: Vec<_> = (0..8).map(|i| net.begin_op(&format!("op{i}"))).collect();
-        for (i, op) in ops.iter().enumerate() {
-            for j in 0..8 {
-                let from = peers[(i * 5 + j) % peers.len()];
-                let to = peers[(j * 11 + i) % peers.len()];
-                net.send(*op, from, to, Msg::Hello).unwrap();
-            }
-        }
-        assert_eq!(net.pending(), 64);
-        // The sharded queue still pops in global (deliver_at, seq) order.
-        let mut last = SimTime::ZERO;
-        let mut seen = 0;
-        while let Some(result) = net.deliver_next() {
-            let env = result.unwrap();
-            assert!(env.deliver_at >= last, "sharded queue went backwards");
-            last = env.deliver_at;
-            seen += 1;
-        }
-        assert_eq!(seen, 64);
-    }
-
-    #[test]
-    fn sharded_and_single_queue_deliver_identically() {
-        // The same seeded traffic through a sharded and a (forced) single
-        // queue: delivery order and payload attribution must be identical,
-        // because the sharded pop selects the global (deliver_at, seq) min.
-        let run = |shard: bool| {
-            let mut net: SimNetwork<Msg> = SimNetwork::with_latency(regional_model(9));
-            if !shard {
-                // Collapse to a single heap *after* construction: same
-                // latency streams, different queue layout.
-                let model = net.latency_model().clone();
-                net.queue = EventQueue::default();
-                net.latency = model;
-            }
-            let peers: Vec<_> = (0..24).map(|_| net.add_peer()).collect();
-            let ops: Vec<_> = (0..6).map(|i| net.begin_op(&format!("op{i}"))).collect();
-            for (i, op) in ops.iter().enumerate() {
-                for j in 0..10 {
-                    let from = peers[(i * 7 + j * 3) % peers.len()];
-                    let to = peers[(i + j * 5) % peers.len()];
-                    net.send(*op, from, to, Msg::Hello).unwrap();
-                }
-            }
-            let mut order = Vec::new();
-            while let Some(result) = net.deliver_next() {
-                let env = result.unwrap();
-                order.push((env.deliver_at, env.from, env.to));
-            }
-            order
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn inter_region_frontier_is_the_earliest_cross_region_event() {
-        let map = RegionMap::new(4, 0xBA70);
-        let mut net: SimNetwork<Msg> = SimNetwork::with_latency(LatencyModel::regional(
-            map,
-            LatencyModel::constant(SimTime::from_millis(1)),
-            LatencyModel::constant(SimTime::from_millis(40)),
-            Vec::new(),
-        ));
-        let peers: Vec<_> = (0..32).map(|_| net.add_peer()).collect();
-        let same = |a: &PeerId, b: &PeerId| map.same_region(*a, *b);
-        let intra_pair = peers
-            .iter()
-            .flat_map(|a| peers.iter().map(move |b| (a, b)))
-            .find(|(a, b)| a != b && same(a, b))
-            .unwrap();
-        let inter_pair = peers
-            .iter()
-            .flat_map(|a| peers.iter().map(move |b| (a, b)))
-            .find(|(a, b)| !same(a, b))
-            .unwrap();
-        // No cross-region traffic: shards are fully independent.
-        let op = net.begin_op("intra");
-        net.send(op, *intra_pair.0, *intra_pair.1, Msg::Hello)
-            .unwrap();
-        assert_eq!(net.inter_region_frontier(), None);
-        // A cross-region send closes the window at its delivery time.
-        let op2 = net.begin_op("inter");
-        net.send(op2, *inter_pair.0, *inter_pair.1, Msg::World)
-            .unwrap();
-        assert_eq!(net.inter_region_frontier(), Some(SimTime::from_millis(40)));
-        // The barrier never precedes any locally deliverable event's bound:
-        // the intra event (1ms) is safe to run before the 40ms frontier.
-        assert_eq!(net.next_delivery_at(), Some(SimTime::from_millis(1)));
-        net.deliver_next().unwrap().unwrap();
-        net.deliver_next().unwrap().unwrap();
-        assert_eq!(net.inter_region_frontier(), None);
-    }
-
-    #[test]
-    fn swapping_models_restructures_the_queue_and_keeps_pending_events() {
-        let (mut net, a, b) = two_peer_net();
-        assert_eq!(net.shard_count(), 1);
-        let op = net.begin_op("swap");
-        net.send(op, a, b, Msg::Hello).unwrap();
-        net.send(op, b, a, Msg::World).unwrap();
-        net.set_latency_model(regional_model(3));
-        assert_eq!(net.shard_count(), 4);
-        assert_eq!(net.pending(), 2, "pending events survive re-sharding");
-        let first = net.deliver_next().unwrap().unwrap();
-        assert_eq!(first.payload, Msg::Hello);
-        net.set_latency_model(LatencyModel::zero());
-        assert_eq!(net.shard_count(), 1);
-        assert_eq!(net.pending(), 1);
-        let second = net.deliver_next().unwrap().unwrap();
-        assert_eq!(second.payload, Msg::World);
+    fn bounced_hop_is_traced_undelivered_and_opens_the_detour() {
+        let (mut net, peers) = ten_ms_net(3);
+        net.set_trace(TraceConfig::new(4));
+        let op = net.begin_op("detour");
+        net.fail_peer(peers[1]);
+        assert_eq!(
+            net.hop(op, peers[0], peers[1], 1, LinkKind::Child, &Msg::Hello),
+            Ok(false)
+        );
+        assert_eq!(
+            net.hop(op, peers[0], peers[2], 2, LinkKind::Adjacent, &Msg::Hello),
+            Ok(true)
+        );
+        net.finish_op(op);
+        let span = net.trace().unwrap().spans().next().unwrap().clone();
+        let (bounce, retry) = (&span.hops[0], &span.hops[1]);
+        assert!(!bounce.delivered && !bounce.detour);
+        assert_eq!(bounce.arrive_at, SimTime::from_millis(10));
+        assert!(retry.delivered && retry.detour);
+        assert_eq!(retry.sent_at, SimTime::from_millis(10));
+        assert_eq!(
+            span.detour_count(),
+            net.stats().op(op.id).unwrap().detour_messages
+        );
+        assert_eq!(span.detour_count(), 2);
     }
 }

@@ -233,8 +233,8 @@ pub trait Overlay {
 
     /// Approximate resident bytes of the overlay's protocol state: node
     /// structs, links, routing tables and stored items, including their
-    /// heap allocations, but excluding the shared network substrate (event
-    /// queue, statistics).  This is what the perf harness divides by
+    /// heap allocations, but excluding the shared network substrate (peer
+    /// registry, statistics).  This is what the perf harness divides by
     /// `node_count()` for the bytes-per-peer rows.
     ///
     /// Default: 0 — for test doubles and overlays that do not report.
@@ -271,7 +271,7 @@ pub trait Overlay {
     /// current state for the concurrent serve front-end
     /// ([`crate::serve`]): dense per-peer key ranges, item indexes, link
     /// tables and replica sets that lock-free readers answer exact and
-    /// range queries from with zero event-queue traffic.  Pure
+    /// range queries from with zero simulated network traffic.  Pure
     /// observation — statistics, RNG streams and the virtual clock are
     /// untouched, so a run that extracts snapshots stays byte-identical
     /// to one that does not.

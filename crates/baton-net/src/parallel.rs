@@ -1,11 +1,11 @@
 //! Process-global thread-count knob and a deterministic fork/join helper.
 //!
-//! The simulator parallelises at two levels.  Inside one run the event
-//! queue is sharded by region (see [`SimNetwork`](crate::network::SimNetwork)),
-//! and across runs the scenario engine executes independent
-//! (overlay × repetition) units on a pool of OS threads.  Both levels take
-//! their thread budget from this module: `--threads N` on the binaries
-//! calls [`set_threads`], everything else calls [`threads`].
+//! One simulation run is single-threaded: every overlay routes one hop at a
+//! time through its [`SimNetwork`](crate::network::SimNetwork).  The
+//! parallelism is across runs: the scenario engine executes independent
+//! (overlay × repetition) units on a pool of OS threads, which take their
+//! budget from this module: `--threads N` on the binaries calls
+//! [`set_threads`], everything else calls [`threads`].
 //!
 //! Determinism contract: [`run_indexed`] assigns each unit a fixed index
 //! and returns results **in index order**, so callers that aggregate in

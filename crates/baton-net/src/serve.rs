@@ -1,12 +1,11 @@
 //! Concurrent serve mode: immutable routing/ownership snapshots and the
 //! lock-free read path over them.
 //!
-//! The discrete-event engine answers one query at a time behind the virtual
-//! clock; a real deployment answers thousands concurrently.  This module is
+//! The simulator answers one query at a time behind the virtual clock; a real deployment answers thousands concurrently.  This module is
 //! the bridge: an overlay exports its current routing/ownership state as an
 //! immutable [`RoutingSnapshot`] — dense arrays of per-peer key ranges, link
 //! tables, item indexes and replica sets — which any number of OS threads
-//! can then query without locks, allocation, or event-queue traffic.
+//! can then query without locks, allocation, or simulated network traffic.
 //!
 //! Structural operations (join/leave/balance/repair) never mutate a
 //! published snapshot.  Instead the owner rebuilds one and *publishes* it

@@ -1,11 +1,11 @@
-//! Virtual time and link-latency models for the discrete-event engine.
+//! Virtual time and link-latency models for the simulator.
 //!
 //! The original substrate counted messages and nothing else; every question
 //! the paper's Figure 8 asks is a message count.  Latency, throughput and
 //! churn-under-load require a notion of *when* things happen, so the
-//! simulator keeps a virtual clock: every message is scheduled for delivery
-//! at `send time + link latency` and the network advances its clock as the
-//! event queue drains.  Virtual time is deterministic — it is derived purely
+//! simulator keeps a virtual clock: every hop arrives at `send time + link
+//! latency`, where the send time is the operation's frontier (the arrival of
+//! its previous hop).  Virtual time is deterministic — it is derived purely
 //! from the seeded latency model, never from the wall clock.
 
 use std::ops::{Add, AddAssign, Sub};
@@ -18,7 +18,7 @@ use crate::rng::SimRng;
 /// One type serves as both instant and duration — the simulation starts at
 /// [`SimTime::ZERO`] and only ever moves forward, so the distinction buys
 /// nothing but conversion noise here.  Microsecond resolution keeps the
-/// arithmetic exact (no float drift in the event queue ordering) while
+/// arithmetic exact (no float drift along a hop chain) while
 /// comfortably covering sub-millisecond link jitter and multi-hour runs.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct SimTime(u64);
@@ -218,17 +218,14 @@ pub struct RegionalLatency {
     /// The seeded peer → region assignment.
     pub map: RegionMap,
     /// Per-region models for links whose endpoints share a region: a link
-    /// inside region `r` draws from `intra[r]`.  Each region owning its own
-    /// jitter stream is what lets the sharded event engine sample
-    /// intra-region latencies without cross-shard RNG contention — and the
-    /// streams are derived deterministically from the one intra seed, so
-    /// the split itself is reproducible.
+    /// inside region `r` draws from `intra[r]`.  Each region owns its own
+    /// jitter stream, so traffic inside one region never shifts the draws
+    /// of another; the streams are derived deterministically from the one
+    /// intra seed, so the split itself is reproducible.
     pub intra: Vec<LatencyModel>,
-    /// Model for links that cross a region boundary (a single stream:
-    /// cross-region traffic serialises through the inter-region barrier
-    /// anyway).
+    /// Model for links that cross a region boundary (a single stream).
     pub inter: Box<LatencyModel>,
-    /// Scheduled degradations, applied multiplicatively when overlapping.
+    /// Timed degradations, applied multiplicatively when overlapping.
     pub degradations: Vec<LinkDegradation>,
 }
 
@@ -343,8 +340,7 @@ impl LatencyModel {
     ///
     /// `intra` is replicated into one model per region, each with a jitter
     /// stream deterministically derived from the original (region `r` gets
-    /// `derive(r)`), so every shard of the event engine owns an independent
-    /// per-region RNG stream.
+    /// `derive(r)`), so every region owns an independent RNG stream.
     pub fn regional(
         map: RegionMap,
         intra: LatencyModel,
@@ -389,15 +385,6 @@ impl LatencyModel {
                 inter: Box::new(regional.inter.with_derived_stream(salt)),
                 degradations: regional.degradations.clone(),
             })),
-        }
-    }
-
-    /// The region assignment of a [`Regional`](LatencyModel::Regional)
-    /// model — the shard boundary the event queue organises around.
-    pub fn region_map(&self) -> Option<RegionMap> {
-        match self {
-            LatencyModel::Regional(regional) => Some(regional.map),
-            _ => None,
         }
     }
 
@@ -469,7 +456,7 @@ pub enum LatencyPlan {
         intra: Box<LatencyPlan>,
         /// Plan for links that cross a region boundary.
         inter: Box<LatencyPlan>,
-        /// Scheduled degradations.
+        /// Timed degradations.
         degradations: Vec<LinkDegradation>,
     },
 }
@@ -744,7 +731,7 @@ mod tests {
         let r1: Vec<_> = (0..16).map(|_| m.sample(a1, b1, SimTime::ZERO)).collect();
         assert_ne!(r0, r1, "regions must not share one jitter stream");
         // ...and sampling in region 1 first leaves region 0's stream
-        // untouched: the per-region split is what decouples shards.
+        // untouched: the per-region split decouples the regions.
         let mut m = build();
         for _ in 0..16 {
             m.sample(a1, b1, SimTime::ZERO);

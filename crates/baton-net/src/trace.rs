@@ -16,8 +16,8 @@
 //! O(capacity) trace state no matter how many operations it dispatches.
 //! When tracing is disabled (the default) no span is allocated and every
 //! probe is a `None` check — all committed fixtures are byte-identical
-//! either way, since tracing never touches the statistics or the event
-//! queue.
+//! either way, since tracing never touches the statistics or the latency
+//! draws.
 //!
 //! [`MessageStats`]: crate::stats::MessageStats
 
@@ -281,22 +281,6 @@ impl TraceBuffer {
         }
     }
 
-    /// Marks the hop of `op` that landed on `to` at `at` as a bounce (dead
-    /// destination).  Hops are recorded optimistically at send time because
-    /// liveness is only known at delivery.
-    pub(crate) fn mark_bounce(&mut self, op: OpId, to: PeerId, at: SimTime) {
-        if let Some((_, span)) = self.open.iter_mut().rev().find(|(id, _)| *id == op) {
-            if let Some(hop) = span
-                .hops
-                .iter_mut()
-                .rev()
-                .find(|h| h.to == to && h.arrive_at == at && h.delivered)
-            {
-                hop.delivered = false;
-            }
-        }
-    }
-
     /// Closes the operation's span and files it into the ring.
     pub(crate) fn finish(&mut self, op: OpId, at: SimTime) {
         if let Some(index) = self.open.iter().position(|(id, _)| *id == op) {
@@ -424,8 +408,13 @@ mod tests {
         let op = OpId(0);
         buffer.begin(op, "op", SimTime::ZERO);
         buffer.record_hop(op, hop(1, LinkKind::Parent, 0, false));
-        buffer.record_hop(op, hop(2, LinkKind::Child, 5, false));
-        buffer.mark_bounce(op, PeerId(2), SimTime::from_micros(6));
+        buffer.record_hop(
+            op,
+            HopRecord {
+                delivered: false,
+                ..hop(2, LinkKind::Child, 5, false)
+            },
+        );
         buffer.record_hop(op, hop(3, LinkKind::Adjacent, 10, true));
         buffer.finish(op, SimTime::from_micros(12));
         let span = buffer.spans().next().unwrap();

@@ -1,75 +1,16 @@
-//! Property tests for the discrete-event simulation core (seeded
+//! Property tests for the virtual-time simulation core (seeded
 //! deterministic loops, matching the `property_churn` conventions):
 //!
-//! * the event queue is monotone in virtual time — deliveries never run
-//!   backwards, whatever order messages were scheduled in;
 //! * the constant-zero latency model reproduces the pre-refactor seed
 //!   figures *exactly* (golden-fixture comparison — the regression check of
 //!   the count-only substrate's subsumption);
+//! * the `Regional` latency model reproduces its committed scenario fixture
+//!   *exactly* (per-class latency percentiles and availability);
 //! * every emitted latency series satisfies p50 ≤ p95 ≤ p99.
 
-use baton_net::{LatencyModel, NetMessage, SimNetwork, SimRng, SimTime};
+use baton_net::{SimRng, SimTime};
 use baton_sim::{figures, render_json, scenario, Profile};
 use baton_workload::LatencySummary;
-
-#[derive(Clone, Debug)]
-struct Probe;
-
-impl NetMessage for Probe {
-    fn kind(&self) -> &'static str {
-        "probe"
-    }
-}
-
-/// Deliveries pop in nondecreasing virtual-time order, across many random
-/// schedules: messages from independent operations (each departing its own
-/// op's frontier) and chained hops (departing ever-later frontiers) are
-/// pushed in arbitrary interleavings, then drained.
-#[test]
-fn event_queue_is_monotone_in_virtual_time() {
-    for case in 0..50u64 {
-        let mut rng = SimRng::seeded(0xE7E27 + case);
-        let mut net: SimNetwork<Probe> = SimNetwork::with_latency(LatencyModel::log_normal(
-            SimTime::from_millis(1 + case % 50),
-            0.7,
-            case,
-        ));
-        let peers: Vec<_> = (0..8).map(|_| net.add_peer()).collect();
-        let ops: Vec<_> = (0..6)
-            .map(|i| {
-                // Stagger op arrivals so frontiers start at different times.
-                net.advance_to(SimTime::from_micros(rng.uniform_u64(0, 10_000)));
-                net.begin_op(&format!("op{i}"))
-            })
-            .collect();
-        // Random mix of sends; chained ops reuse the same scope so their
-        // messages depart later and later frontiers.
-        for _ in 0..rng.uniform_u64(5, 60) {
-            let op = ops[rng.index(ops.len())];
-            let from = peers[rng.index(peers.len())];
-            let to = peers[rng.index(peers.len())];
-            net.send(op, from, to, Probe).unwrap();
-            // Occasionally drain one event mid-stream, like the synchronous
-            // protocols do.
-            if rng.chance(0.5) {
-                net.deliver_next();
-            }
-        }
-        // Drain the remainder: the *queued* portion must be monotone.
-        let mut last = net.next_delivery_at().unwrap_or(SimTime::ZERO);
-        while let Some(result) = net.deliver_next() {
-            let envelope = result.unwrap();
-            assert!(
-                envelope.deliver_at >= last,
-                "case {case}: delivery at {} after {}",
-                envelope.deliver_at,
-                last
-            );
-            last = envelope.deliver_at;
-        }
-        assert!(net.now() >= last);
-    }
-}
 
 /// With the default constant-zero latency model, all nine Figure-8 drivers
 /// reproduce the exact message-count series captured from the substrate
@@ -84,6 +25,32 @@ fn zero_latency_model_reproduces_the_seed_figures_exactly() {
         rendered.trim(),
         fixture.trim(),
         "figure output diverged from the pre-refactor seed fixture"
+    );
+}
+
+/// The three scenarios that run under a `Regional` latency model (per-region
+/// intra-region jitter streams, one inter-region stream, timed link
+/// degradations), at replication k = 2, reproduce the per-class latency
+/// percentiles and availability of
+/// `tests/fixtures/scenario_regional_k2_seed.csv`, captured with
+/// `reproduce --profile smoke --figure none --scenario
+/// regional_failure,cascading_failure,degraded_links --replicas 2 --csv`
+/// while hops still went through an event queue.
+#[test]
+fn regional_latency_model_reproduces_the_seed_scenarios_exactly() {
+    let fixture = include_str!("../fixtures/scenario_regional_k2_seed.csv");
+    let profile = Profile::smoke();
+    let rendered: String = ["regional_failure", "cascading_failure", "degraded_links"]
+        .into_iter()
+        .map(|id| {
+            let result = scenario::run_scenario_with_options(id, &profile, None, Some(2))
+                .expect("registered");
+            format!("# Scenario {}\n{}\n", result.id, result.to_csv())
+        })
+        .collect();
+    assert_eq!(
+        rendered, fixture,
+        "regional scenario output diverged from the seed fixture"
     );
 }
 
