@@ -7,7 +7,9 @@
 //! ```
 //!
 //! * `--profile full` (default): paper scale — a 10,000-node BATON build,
-//!   1000 exact-match (fig8d) and 1000 range (fig8e) queries, the
+//!   1000 exact-match (fig8d) and 1000 range (fig8e) queries, 100,000
+//!   Zipf(1.0) inserts with load balancing and as many deletes
+//!   (`insert_zipf`, `delete`), the
 //!   `latency_under_churn` and `regional_failure` scenarios at N = 1000,
 //!   plus the million-node `scale_build`/`mem_scale` rows, the
 //!   single- vs multi-threaded `scale_churn_t*` comparison at N = 100,000,
@@ -30,14 +32,19 @@
 //!   `baton-perf/7` schema instead of running measurements (exit code 1 on
 //!   schema violations) — the CI gate for the uploaded artifact.
 //!
-//! After the timed rows the harness traces the fig8d exact-match workload
-//! through the route recorder and emits the `"observability"` section:
+//! After the timed rows the harness fills the `"observability"` section.
+//! It traces the fig8d exact-match workload through the route recorder:
 //! mean hops per query split by link kind (BATON across the cost-curve
-//! sizes, each baseline at the main build size).
+//! sizes, each baseline at the main build size).  Then it turns the
+//! profiler on for one untimed bulk-built BATON `latency_under_churn`
+//! repetition at the `scale_churn_t*` size and reports the per-stage
+//! scopes (calls and total wall time).
 
 use std::process::ExitCode;
 
-use baton_bench::perf::{render_json, route_anatomy, run, validate_json, PerfProfile};
+use baton_bench::perf::{
+    profile_scopes, render_json, route_anatomy, run, validate_json, PerfProfile,
+};
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -171,7 +178,14 @@ fn main() -> ExitCode {
             kinds.join(", ")
         );
     }
-    let rendered = render_json(&profile, &measurements, &anatomy);
+    let scopes = profile_scopes(&profile);
+    for (name, count, total_ns) in &scopes {
+        eprintln!(
+            "  {name:<24} {count:>10} calls {:>12.1} ms",
+            *total_ns as f64 / 1e6
+        );
+    }
+    let rendered = render_json(&profile, &measurements, &anatomy, &scopes);
     if let Err(error) = std::fs::write(&out_path, &rendered) {
         eprintln!("cannot write {out_path}: {error}");
         return ExitCode::FAILURE;

@@ -1,20 +1,23 @@
 //! The `perf` target: wall-clock measurements of the simulator's hot paths.
 //!
-//! Unlike the Criterion benches (which reproduce the paper's *message
-//! counts*), this module tracks how fast the substrate itself runs: overlay
+//! The paper's figures count *messages* (the `reproduce` binary prints
+//! them); this module tracks how fast the substrate itself runs: overlay
 //! construction, the paper-profile exact-match (fig8d) and range-search
-//! (fig8e) query drivers, and two time-domain scenarios —
+//! (fig8e) query drivers, BATON inserts of skewed keys (which fire load
+//! balancing) and deletes, and two time-domain scenarios —
 //! `latency_under_churn` (the original open-loop template) and
 //! `regional_failure` (the phased engine with a regional latency topology
 //! and a correlated fault plan, representative of the scenario registry's
 //! new machinery).  The `perf` binary emits the results as
 //! `BENCH_perf.json` so successive PRs can regress against a
-//! machine-readable wall-clock trajectory.
+//! machine-readable wall-clock trajectory, together with the route anatomy
+//! and the per-stage profiler scopes of one untimed pass.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use baton_net::{LinkKind, Overlay, SimRng, TraceConfig};
+use baton_sim::json::{self, Value};
 use baton_sim::{json_string, scenario, Profile};
 use baton_workload::{runner, KeyDistribution, QueryWorkload};
 
@@ -343,11 +346,61 @@ fn time_overlay_group(
     push_mem_row(measurements, &*overlay, label, id_suffix);
 }
 
+/// Times BATON inserts of Zipf(θ = 1.0) keys (`insert_zipf`) and then
+/// deletes of every stored key (`delete`).  The dataset is the fig8g
+/// skewed load at the profile's `data_scale`, inserted into a bulk-built
+/// overlay whose load balancing is sized for that average load, so the skew
+/// fires the §IV-D balancing that the uniform load of the `build` group
+/// does not; the insert row's detail carries the balancing messages.
+fn time_update_rows(measurements: &mut Vec<Measurement>, profile: &PerfProfile, seed: u64) {
+    let n = profile.build_n;
+    let data = baton_workload::DatasetPlan {
+        values_per_node: 1000,
+        distribution: KeyDistribution::Zipf { theta: 1.0 },
+    }
+    .scaled(profile.data_scale)
+    .generate(&mut SimRng::seeded(seed ^ 0xBA1A), n);
+    let mut baton = crate::baton_overlay_bulk(n, seed, data.len() / n.max(1));
+    let overlay: &mut dyn Overlay = &mut baton;
+
+    let (mut insert_m, balance_messages) = Measurement::timed(
+        "insert_zipf",
+        format!(
+            "{} Zipf(1.0) inserts on the {n}-node BATON overlay, load balancing on",
+            data.len()
+        ),
+        "inserts",
+        || {
+            let outcome = runner::bulk_load(overlay, &data).expect("zipf inserts");
+            (outcome.inserted, outcome.balance_messages)
+        },
+    );
+    let _ = write!(insert_m.detail, "; balance_msgs={balance_messages}");
+    measurements.push(insert_m);
+
+    let (delete_m, _) = Measurement::timed(
+        "delete",
+        format!(
+            "{} deletes of the stored Zipf keys on the {n}-node BATON overlay",
+            data.len()
+        ),
+        "deletes",
+        || {
+            let mut removed = 0;
+            for &(key, _) in &data {
+                removed += overlay.delete(key).expect("delete").matches as u64;
+                overlay.stats_mut().retire_finished();
+            }
+            (removed, ())
+        },
+    );
+    measurements.push(delete_m);
+}
+
 /// Overlays that have a dedicated build/query timing group in [`run`].
-/// Chord and the multiway tree appear only in the bytes-per-peer rows and
-/// inside the scenario measurement (their figure timings are covered by the
-/// Criterion benches); the `perf` binary warns when a selection names an
-/// overlay outside this list.
+/// Chord and the multiway tree appear only in the bytes-per-peer rows, the
+/// route-anatomy rows and inside the scenario measurement; the `perf`
+/// binary warns when a selection names an overlay outside this list.
 pub const TIMED_OVERLAYS: [&str; 2] = ["BATON", "D3-Tree"];
 
 /// Scenarios with a wall-clock measurement row in [`run`]: the original
@@ -374,6 +427,7 @@ pub fn run(profile: &PerfProfile) -> Vec<Measurement> {
         time_overlay_group(&mut measurements, profile, "BATON", "", seed, || {
             Box::new(crate::baton_overlay(profile.build_n, seed, 1000))
         });
+        time_update_rows(&mut measurements, profile, seed);
     }
     if selected.contains(&"D3-Tree") {
         time_overlay_group(
@@ -484,10 +538,10 @@ pub fn run(profile: &PerfProfile) -> Vec<Measurement> {
 
         // Million-peer scale rows.  The build/mem pair shows a million peers
         // fit in RAM with the compact node layouts (built through the bulk
-        // fast path — the join-by-join cost lives in the `build` row and the
-        // Criterion fig8a bench); the churn pair runs the same scenario
-        // profile single- and multi-threaded so the sharded engine's scaling
-        // is tracked in the report.  Results are byte-identical across
+        // fast path — the join-by-join cost lives in the `build` row); the
+        // churn pair runs the same scenario profile single- and
+        // multi-threaded so the sharded engine's scaling is tracked in the
+        // report.  Results are byte-identical across
         // thread counts (aggregation is in canonical unit order), so only
         // the wall clock may differ.
         let n = profile.scale_n;
@@ -712,6 +766,40 @@ pub fn route_anatomy(profile: &PerfProfile) -> Vec<RouteAnatomy> {
     rows
 }
 
+/// One profiler scope row of the report: `(name, count, total_ns)`, as
+/// [`baton_net::profiler::snapshot`] returns it.
+pub type ScopeRow = (&'static str, u64, u64);
+
+/// Runs one untimed pass with the profiler on — one bulk-built BATON
+/// `latency_under_churn` repetition at the `scale_churn` size, whatever the
+/// overlay selection — and returns its per-stage scope rows for the
+/// report's `"observability"` section.  No timed row runs with the
+/// profiler on.
+pub fn profile_scopes(profile: &PerfProfile) -> Vec<ScopeRow> {
+    let churn_profile = Profile {
+        repetitions: 1,
+        ..profile.scale_churn.clone()
+    };
+    let n = *churn_profile.network_sizes.last().unwrap_or(&0);
+    eprintln!("perf: profiling one latency_under_churn repetition (BATON, {n} nodes)");
+    let restore: Vec<String> = baton_sim::standard_overlays()
+        .iter()
+        .map(|spec| spec.series.to_owned())
+        .collect();
+    baton_sim::set_overlay_filter(&["BATON".to_owned()]).expect("BATON is registered");
+    baton_net::profiler::reset();
+    baton_net::profiler::set_enabled(true);
+    scenario::run_scenario_with_build(
+        "latency_under_churn",
+        &churn_profile,
+        Some(scenario::BuildKind::Bulk),
+    )
+    .expect("registered scenario");
+    baton_net::profiler::set_enabled(false);
+    baton_sim::set_overlay_filter(&restore).expect("previously selected overlays");
+    baton_net::profiler::snapshot()
+}
+
 /// Renders a perf report as the `BENCH_perf.json` document.
 ///
 /// Schema (`baton-perf/7` — version 7 added the serve rows
@@ -750,14 +838,14 @@ pub fn route_anatomy(profile: &PerfProfile) -> Vec<RouteAnatomy> {
 /// }
 /// ```
 ///
-/// `"scopes"` appears only when the harness is compiled with the
-/// `profiler` feature; the whole `"observability"` key is absent — not
-/// empty — when there is nothing to report, so default documents carry no
-/// placeholder keys.
+/// The `perf` binary always passes the scope rows of [`profile_scopes`].
+/// An empty `anatomy` or `scopes` list omits its key, and the whole
+/// `"observability"` key is absent — not empty — when both are.
 pub fn render_json(
     profile: &PerfProfile,
     measurements: &[Measurement],
     anatomy: &[RouteAnatomy],
+    scopes: &[ScopeRow],
 ) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema\": \"baton-perf/7\",");
@@ -783,11 +871,6 @@ pub fn render_json(
         out.push_str("\n  ");
     }
     out.push(']');
-    let scopes = if baton_net::profiler::enabled() {
-        baton_net::profiler::snapshot()
-    } else {
-        Vec::new()
-    };
     if !anatomy.is_empty() || !scopes.is_empty() {
         out.push_str(",\n  \"observability\": {");
         if !anatomy.is_empty() {
@@ -850,46 +933,42 @@ pub fn render_json(
 /// problem.  Used by the `perf --check` mode so CI can gate on the artifact
 /// without external tooling.
 pub fn validate_json(text: &str) -> Result<usize, String> {
-    let value = json::parse(text)?;
-    let root = value.as_object().ok_or("root is not an object")?;
+    let root = json::parse(text)?;
+    if root.object().is_none() {
+        return Err("root is not an object".into());
+    }
     let schema = root
         .get("schema")
-        .and_then(Json::as_str)
+        .and_then(Value::string)
         .ok_or("missing \"schema\"")?;
     if schema != "baton-perf/7" {
         return Err(format!("unexpected schema {schema:?}"));
     }
     root.get("profile")
-        .and_then(Json::as_str)
+        .and_then(Value::string)
         .ok_or("missing \"profile\"")?;
     let measurements = root
         .get("measurements")
-        .and_then(Json::as_array)
+        .and_then(Value::array)
         .ok_or("missing \"measurements\"")?;
     if measurements.is_empty() {
         return Err("no measurements".into());
     }
     for (i, m) in measurements.iter().enumerate() {
-        let m = m
-            .as_object()
-            .ok_or_else(|| format!("measurement {i} is not an object"))?;
+        if m.object().is_none() {
+            return Err(format!("measurement {i} is not an object"));
+        }
         for key in ["id", "detail", "unit"] {
             m.get(key)
-                .and_then(Json::as_str)
+                .and_then(Value::string)
                 .ok_or_else(|| format!("measurement {i} missing string {key:?}"))?;
         }
         for key in ["work_items", "wall_ms", "per_second"] {
-            let number = m
-                .get(key)
-                .and_then(Json::as_number)
-                .ok_or_else(|| format!("measurement {i} missing number {key:?}"))?;
-            if !number.is_finite() || number < 0.0 {
-                return Err(format!("measurement {i} has bad {key}: {number}"));
-            }
+            non_negative(m, key, || format!("measurement {i}"))?;
         }
         if let Some(availability) = m.get("availability") {
             let number = availability
-                .as_number()
+                .number()
                 .ok_or_else(|| format!("measurement {i} has non-number \"availability\""))?;
             if !number.is_finite() || !(0.0..=1.0).contains(&number) {
                 return Err(format!(
@@ -906,37 +985,31 @@ pub fn validate_json(text: &str) -> Result<usize, String> {
         );
     }
     if let Some(observability) = root.get("observability") {
-        let observability = observability
-            .as_object()
-            .ok_or("\"observability\" is not an object")?;
+        if observability.object().is_none() {
+            return Err("\"observability\" is not an object".into());
+        }
         let mut saw_section = false;
         if let Some(rows) = observability.get("route_anatomy") {
             saw_section = true;
-            let rows = rows.as_array().ok_or("\"route_anatomy\" is not an array")?;
+            let rows = rows.array().ok_or("\"route_anatomy\" is not an array")?;
             if rows.is_empty() {
                 return Err("empty \"route_anatomy\" section (omit the key instead)".into());
             }
             for (i, row) in rows.iter().enumerate() {
-                let row = row
-                    .as_object()
-                    .ok_or_else(|| format!("anatomy row {i} is not an object"))?;
+                if row.object().is_none() {
+                    return Err(format!("anatomy row {i} is not an object"));
+                }
                 for key in ["id", "overlay"] {
                     row.get(key)
-                        .and_then(Json::as_str)
+                        .and_then(Value::string)
                         .ok_or_else(|| format!("anatomy row {i} missing string {key:?}"))?;
                 }
                 for key in ["nodes", "ops", "hops", "mean_hops"] {
-                    let number = row
-                        .get(key)
-                        .and_then(Json::as_number)
-                        .ok_or_else(|| format!("anatomy row {i} missing number {key:?}"))?;
-                    if !number.is_finite() || number < 0.0 {
-                        return Err(format!("anatomy row {i} has bad {key}: {number}"));
-                    }
+                    non_negative(row, key, || format!("anatomy row {i}"))?;
                 }
                 let kinds = row
                     .get("by_kind")
-                    .and_then(Json::as_object_pairs)
+                    .and_then(Value::object)
                     .ok_or_else(|| format!("anatomy row {i} missing object \"by_kind\""))?;
                 for (kind, mean) in kinds {
                     if LinkKind::parse(kind).is_none() {
@@ -945,7 +1018,7 @@ pub fn validate_json(text: &str) -> Result<usize, String> {
                              (outside the closed enum)"
                         ));
                     }
-                    let mean = mean.as_number().ok_or_else(|| {
+                    let mean = mean.number().ok_or_else(|| {
                         format!("anatomy row {i} has non-number mean for {kind:?}")
                     })?;
                     if !mean.is_finite() || mean < 0.0 {
@@ -956,26 +1029,20 @@ pub fn validate_json(text: &str) -> Result<usize, String> {
         }
         if let Some(scopes) = observability.get("scopes") {
             saw_section = true;
-            let scopes = scopes.as_array().ok_or("\"scopes\" is not an array")?;
+            let scopes = scopes.array().ok_or("\"scopes\" is not an array")?;
             if scopes.is_empty() {
                 return Err("empty \"scopes\" section (omit the key instead)".into());
             }
             for (i, scope) in scopes.iter().enumerate() {
-                let scope = scope
-                    .as_object()
-                    .ok_or_else(|| format!("scope row {i} is not an object"))?;
+                if scope.object().is_none() {
+                    return Err(format!("scope row {i} is not an object"));
+                }
                 scope
                     .get("name")
-                    .and_then(Json::as_str)
+                    .and_then(Value::string)
                     .ok_or_else(|| format!("scope row {i} missing string \"name\""))?;
                 for key in ["count", "total_ns"] {
-                    let number = scope
-                        .get(key)
-                        .and_then(Json::as_number)
-                        .ok_or_else(|| format!("scope row {i} missing number {key:?}"))?;
-                    if !number.is_finite() || number < 0.0 {
-                        return Err(format!("scope row {i} has bad {key}: {number}"));
-                    }
+                    non_negative(scope, key, || format!("scope row {i}"))?;
                 }
             }
         }
@@ -986,255 +1053,17 @@ pub fn validate_json(text: &str) -> Result<usize, String> {
     Ok(measurements.len())
 }
 
-pub use json::Json;
-
-/// A minimal recursive-descent JSON parser, sufficient to validate the
-/// documents this module emits (and any standards-compliant JSON without
-/// exotic number forms).  Hand-rolled because the build environment has no
-/// crates.io access for `serde_json`.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Json {
-        /// `null`
-        Null,
-        /// `true` / `false`
-        Bool(bool),
-        /// Any number (parsed as `f64`).
-        Number(f64),
-        /// A string.
-        String(String),
-        /// An array.
-        Array(Vec<Json>),
-        /// An object, insertion-ordered.
-        Object(Vec<(String, Json)>),
+/// Checks that `row` holds a finite, non-negative number under `key`;
+/// errors name the row through `what`.
+fn non_negative(row: &Value, key: &str, what: impl Fn() -> String) -> Result<(), String> {
+    let number = row
+        .get(key)
+        .and_then(Value::number)
+        .ok_or_else(|| format!("{} missing number {key:?}", what()))?;
+    if !number.is_finite() || number < 0.0 {
+        return Err(format!("{} has bad {key}: {number}", what()));
     }
-
-    impl Json {
-        /// The string payload, if this is a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::String(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The numeric payload, if this is a number.
-        pub fn as_number(&self) -> Option<f64> {
-            match self {
-                Json::Number(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// The elements, if this is an array.
-        pub fn as_array(&self) -> Option<&[Json]> {
-            match self {
-                Json::Array(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        /// An object view with key lookup, if this is an object.
-        pub fn as_object(&self) -> Option<ObjectView<'_>> {
-            match self {
-                Json::Object(pairs) => Some(ObjectView { pairs }),
-                _ => None,
-            }
-        }
-
-        /// The raw key/value pairs in insertion order, if this is an
-        /// object — for validators that must check every key.
-        pub fn as_object_pairs(&self) -> Option<&[(String, Json)]> {
-            match self {
-                Json::Object(pairs) => Some(pairs),
-                _ => None,
-            }
-        }
-    }
-
-    /// Key-lookup view over an object's pairs.
-    pub struct ObjectView<'a> {
-        pairs: &'a [(String, Json)],
-    }
-
-    impl<'a> ObjectView<'a> {
-        /// The value stored under `key`, if present.
-        pub fn get(&self, key: &str) -> Option<&'a Json> {
-            self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-        }
-    }
-
-    /// Parses a complete JSON document.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
-        if bytes.get(*pos) == Some(&byte) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                byte as char,
-                *pos,
-                bytes.get(*pos).map(|b| *b as char)
-            ))
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            None => Err("unexpected end of input".into()),
-            Some(b'{') => parse_object(bytes, pos),
-            Some(b'[') => parse_array(bytes, pos),
-            Some(b'"') => Ok(Json::String(parse_string(bytes, pos)?)),
-            Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-            Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-            Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-            Some(_) => parse_number(bytes, pos),
-        }
-    }
-
-    fn parse_literal(
-        bytes: &[u8],
-        pos: &mut usize,
-        literal: &str,
-        value: Json,
-    ) -> Result<Json, String> {
-        if bytes[*pos..].starts_with(literal.as_bytes()) {
-            *pos += literal.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {pos}", pos = *pos))
-        }
-    }
-
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-        expect(bytes, pos, b'{')?;
-        let mut pairs = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Json::Object(pairs));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            let key = parse_string(bytes, pos)?;
-            skip_ws(bytes, pos);
-            expect(bytes, pos, b':')?;
-            let value = parse_value(bytes, pos)?;
-            pairs.push((key, value));
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Json::Object(pairs));
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-    }
-
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-        expect(bytes, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                other => return Err(format!("expected ',' or ']', found {other:?}")),
-            }
-        }
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(bytes, pos, b'"')?;
-        let mut out = String::new();
-        loop {
-            match bytes.get(*pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = bytes
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let start = *pos;
-                    *pos += 1;
-                    while *pos < bytes.len() && (bytes[*pos] & 0xC0) == 0x80 {
-                        *pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-        let start = *pos;
-        while *pos < bytes.len()
-            && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            *pos += 1;
-        }
-        let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|_| format!("invalid number {text:?} at byte {start}"))
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1260,6 +1089,8 @@ mod tests {
             "exact_fig8d",
             "range_fig8e",
             "mem",
+            "insert_zipf",
+            "delete",
             "build_d3tree",
             "exact_fig8d_d3tree",
             "range_fig8e_d3tree",
@@ -1320,9 +1151,37 @@ mod tests {
                 assert!(LinkKind::parse(kind).is_some(), "open kind {kind}");
             }
         }
-        let rendered = render_json(&profile, &measurements, &anatomy);
+        // The profiled pass records the scenario engine's and BATON's
+        // stages, and the report carries them beside the anatomy rows.
+        let scopes = profile_scopes(&profile);
+        assert!(!baton_net::profiler::enabled(), "left the profiler on");
+        for stage in ["scenario.run_phased", "baton.join.locate"] {
+            assert!(
+                scopes
+                    .iter()
+                    .any(|(name, count, _)| *name == stage && *count > 0),
+                "no {stage} scope in {scopes:?}"
+            );
+        }
+        let rendered = render_json(&profile, &measurements, &anatomy, &scopes);
         assert!(rendered.contains("\"route_anatomy\": ["));
+        assert!(rendered.contains("\"scopes\": ["));
         assert_eq!(validate_json(&rendered), Ok(expected.len()));
+        // With nothing observed the section is omitted, not emitted empty.
+        let bare = render_json(&profile, &measurements, &[], &[]);
+        assert!(!bare.contains("observability"));
+        assert_eq!(validate_json(&bare), Ok(expected.len()));
+
+        // The skewed inserts fire load balancing, and the delete row
+        // removes every value they stored.
+        let row = |id: &str| measurements.iter().find(|m| m.id == id).expect(id);
+        let inserts = row("insert_zipf");
+        assert!(
+            !inserts.detail.ends_with("balance_msgs=0"),
+            "{}",
+            inserts.detail
+        );
+        assert_eq!(row("delete").work_items, inserts.work_items);
 
         // The threaded churn rows record the host's parallelism so a report
         // reader can tell why the t2 row is or is not present.
@@ -1416,7 +1275,7 @@ mod tests {
         )
         .is_err());
         assert!(validate_json(
-            "{\"schema\": \"baton-perf/7\", \"profile\": \"x\", \"measurements\": []}"
+            "{\"schema\": \"baton-perf/6\", \"profile\": \"x\", \"measurements\": []}"
         )
         .is_err());
         assert!(validate_json(
@@ -1436,6 +1295,12 @@ mod tests {
         assert!(validate_json(bad_avail)
             .unwrap_err()
             .contains("availability"));
+        // Input nested far deeper than any report is an error, not a stack
+        // overflow.
+        for deep in ["[".repeat(1_000_000), "{\"a\":".repeat(200_000)] {
+            let err = validate_json(&deep).unwrap_err();
+            assert!(err.starts_with("nesting deeper than"), "{err}");
+        }
     }
 
     #[test]
@@ -1484,143 +1349,6 @@ mod tests {
              {{\"name\": \"openloop.join\", \"count\": 3}}]}}}}"
         );
         assert!(validate_json(&bad).unwrap_err().contains("total_ns"));
-    }
-
-    #[test]
-    fn json_parser_handles_the_usual_shapes() {
-        let doc = r#"{"a": [1, 2.5, -3e2], "b": {"c": null, "d": true}, "e": "x\n\"y\""}"#;
-        let value = Json::as_object(&super::json::parse(doc).unwrap())
-            .and_then(|o| o.get("a").cloned())
-            .unwrap();
-        assert_eq!(value.as_array().unwrap()[2].as_number(), Some(-300.0));
-        assert!(super::json::parse("[1, 2,]").is_err());
-        assert!(super::json::parse("{\"a\" 1}").is_err());
-        assert!(super::json::parse("[1] trailing").is_err());
-    }
-
-    /// With the `profiler` feature on, a scenario run populates the scope
-    /// table, counters only grow, and the rendered report carries a
-    /// `"profiler"` section the validator accepts.
-    #[cfg(feature = "profiler")]
-    #[test]
-    fn profiler_feature_records_scopes_and_renders_them() {
-        assert!(baton_net::profiler::enabled());
-        baton_net::profiler::reset();
-        let scenario_profile = Profile::smoke();
-        scenario::run_scenario_with_build(
-            "latency_under_churn",
-            &scenario_profile,
-            Some(scenario::BuildKind::Bulk),
-        )
-        .expect("registered scenario");
-        let first = baton_net::profiler::snapshot();
-        assert!(!first.is_empty(), "a scenario run must record scopes");
-        assert!(first.iter().any(|(name, _, _)| *name == "scenario.build"));
-        scenario::run_scenario_with_build(
-            "latency_under_churn",
-            &scenario_profile,
-            Some(scenario::BuildKind::Bulk),
-        )
-        .expect("registered scenario");
-        let second = baton_net::profiler::snapshot();
-        for (name, count, total_ns) in &first {
-            let later = second
-                .iter()
-                .find(|(n, _, _)| n == name)
-                .unwrap_or_else(|| panic!("scope {name} disappeared"));
-            assert!(later.1 >= *count, "count of {name} went backwards");
-            assert!(later.2 >= *total_ns, "total_ns of {name} went backwards");
-        }
-
-        let profile = PerfProfile::smoke();
-        let rendered = render_json(
-            &profile,
-            &[Measurement {
-                id: "a".into(),
-                detail: "d".into(),
-                work_items: 1,
-                unit: "u".into(),
-                wall_ms: 1.0,
-                per_second: 1.0,
-                availability: None,
-            }],
-            &[],
-        );
-        assert!(rendered.contains("\"observability\": {"));
-        assert!(rendered.contains("\"scopes\": ["));
-        assert_eq!(validate_json(&rendered), Ok(1));
-    }
-
-    /// Without the feature, the scope table stays empty; with no anatomy
-    /// rows either, the report has no `"observability"` key at all —
-    /// default output carries no placeholder keys.
-    #[cfg(not(feature = "profiler"))]
-    #[test]
-    fn disabled_profiler_leaves_the_report_untouched() {
-        assert!(!baton_net::profiler::enabled());
-        assert!(baton_net::profiler::snapshot().is_empty());
-        let profile = PerfProfile::smoke();
-        let rendered = render_json(
-            &profile,
-            &[Measurement {
-                id: "a".into(),
-                detail: "d".into(),
-                work_items: 1,
-                unit: "u".into(),
-                wall_ms: 1.0,
-                per_second: 1.0,
-                availability: None,
-            }],
-            &[],
-        );
-        assert!(!rendered.contains("observability"));
-        assert!(!rendered.contains("profiler"));
-        assert_eq!(validate_json(&rendered), Ok(1));
-    }
-
-    /// Diagnostic probe, not part of any suite: profiles one bulk-built
-    /// `latency_under_churn` repetition at `PROBE_N` nodes (default 30k)
-    /// and prints the per-scope cost breakdown.  Run it manually with
-    /// `PROBE_N=30000 cargo test -p baton-bench --features profiler \
-    /// --release probe_churn_profile -- --ignored --nocapture`.
-    #[cfg(feature = "profiler")]
-    #[test]
-    #[ignore = "diagnostic probe, run manually"]
-    fn probe_churn_profile() {
-        let n: usize = std::env::var("PROBE_N")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(30_000);
-        let churn_profile = Profile {
-            network_sizes: vec![n],
-            repetitions: 1,
-            data_scale: 0.02,
-            query_scale: 1.0,
-            churn_ops: 100,
-            seed: 2005,
-        };
-        baton_sim::set_overlay_filter(&["BATON".to_owned()]).expect("BATON is registered");
-        baton_net::profiler::reset();
-        let started = Instant::now();
-        let result = scenario::run_scenario_with_build(
-            "latency_under_churn",
-            &churn_profile,
-            Some(scenario::BuildKind::Bulk),
-        )
-        .expect("registered scenario");
-        let wall = started.elapsed().as_secs_f64();
-        baton_sim::clear_overlay_filter();
-        let ops = scenario_ops(&result);
-        eprintln!(
-            "N = {n}: {ops} ops in {wall:.2}s ({:.0} ops/s)",
-            ops as f64 / wall
-        );
-        for (name, count, total_ns) in baton_net::profiler::snapshot() {
-            eprintln!(
-                "  {name:<24} {count:>10} calls {:>12.1} ms",
-                total_ns as f64 / 1e6
-            );
-        }
     }
 
     #[test]
