@@ -3,13 +3,11 @@
 //! Serializes the overlay's current ownership into a
 //! [`RoutingSnapshot`]: the in-order traversal of the tree is an ordered
 //! partition of the key domain, so slots are the nodes sorted by range low,
-//! items are each node's store run-length-encoded by key, links carry the
-//! paper's §II link taxonomy (parent, children, adjacents, sideways routing
-//! tables) and replicas are the adjacent-link replica targets of the
-//! k-replica capability.  Extraction is read-only: statistics, RNG streams
-//! and the virtual clock are untouched.
-
-use std::collections::HashSet;
+//! items are each node's distinct stored keys with their value counts,
+//! links carry the paper's §II link taxonomy (parent, children, adjacents,
+//! sideways routing tables) and replicas are the adjacent-link replica
+//! targets of the k-replica capability.  Extraction is read-only:
+//! statistics, RNG streams and the virtual clock are untouched.
 
 use baton_net::serve::{ExactPlacement, RoutingSnapshot, SnapshotBuilder};
 use baton_net::{LinkKind, PeerId};
@@ -26,28 +24,14 @@ impl BatonSystem {
             true,
             (domain.low(), domain.high()),
         );
-        let dead: HashSet<PeerId> = self.dead_peers.iter().copied().collect();
         // Slots in key order: the in-order traversal of the tree.
         let mut nodes: Vec<(PeerId, &crate::node::BatonNode)> = self.iter_nodes().collect();
         nodes.sort_by_key(|(_, node)| node.range.low());
         for (peer, node) in &nodes {
-            builder.push_slot(peer.0, node.range.high(), !dead.contains(peer));
-            // Run-length encode the store's (key, value) stream: one item
-            // per distinct key with its value count.
-            let mut run: Option<(u64, u64)> = None;
-            for (key, _) in node.store.iter() {
-                match &mut run {
-                    Some((k, count)) if *k == key => *count += 1,
-                    _ => {
-                        if let Some((k, count)) = run.take() {
-                            builder.push_item(k, count);
-                        }
-                        run = Some((key, 1));
-                    }
-                }
-            }
-            if let Some((k, count)) = run {
-                builder.push_item(k, count);
+            // A failed-but-unrepaired peer keeps its slot, exported dead.
+            builder.push_slot(peer.0, node.range.high(), self.net.is_alive(*peer));
+            for (key, count) in node.store.key_counts() {
+                builder.push_item(key, count as u64);
             }
             builder.seal_slot();
         }
@@ -86,7 +70,9 @@ impl BatonSystem {
 
 #[cfg(test)]
 mod tests {
-    use baton_net::serve::ServeCounters;
+    use std::time::{Duration, Instant};
+
+    use baton_net::serve::{ServeCounters, ServeStatus, SnapshotCell};
     use baton_net::Overlay;
 
     use crate::config::BatonConfig;
@@ -117,5 +103,104 @@ mod tests {
         assert_eq!(snapshot.exact(123_456, 3, &mut counters).matches, 1);
         assert_eq!(snapshot.exact(77, 9, &mut counters).matches, 0);
         assert!(counters.hops > 0, "greedy routing should charge hops");
+    }
+
+    /// A 64-node overlay holding 300 values spread over its domain.
+    fn loaded(seed: u64) -> BatonSystem {
+        let mut system = BatonSystem::build(BatonConfig::default(), seed, 64).unwrap();
+        let domain = system.domain();
+        let step = domain.width() / 300;
+        for i in 0..300u64 {
+            let key = domain.low() + i * step + 1;
+            system.insert(key, key).unwrap();
+        }
+        system
+    }
+
+    #[test]
+    fn silently_failed_peer_is_exported_dead_and_fails_over() {
+        let mut system = loaded(13);
+        system.set_replication(2).unwrap();
+        let (victim, key) = system
+            .iter_nodes()
+            .find_map(|(peer, node)| node.store.min_key().map(|key| (peer, key)))
+            .expect("a loaded overlay stores keys");
+        system.fail_silently(victim).unwrap();
+
+        let snapshot = system.build_routing_snapshot();
+        let slot = (0..snapshot.slots())
+            .find(|&slot| snapshot.peer_of(slot) == victim.0)
+            .expect("an unrepaired peer keeps its slot");
+        assert!(!snapshot.alive(slot));
+        assert_eq!(
+            (0..snapshot.slots())
+                .filter(|&s| !snapshot.alive(s))
+                .count(),
+            1,
+            "only the victim is dead"
+        );
+
+        let routed = system.search_exact(key).unwrap().matches.len();
+        assert!(routed > 0, "the victim's replica answers");
+        let mut counters = ServeCounters::default();
+        let served = snapshot.exact(key, 0, &mut counters);
+        assert_eq!(served.status, ServeStatus::Failover);
+        assert_eq!(served.matches, routed as u64);
+    }
+
+    #[test]
+    fn export_cost_grows_linearly_with_the_network() {
+        // Best of three exports at N and 8N: a linear export scales by ~8,
+        // a per-link scan over all slots by ~64.
+        fn best_export(n: usize) -> Duration {
+            let system = BatonSystem::bulk_build(BatonConfig::default(), 5, n).unwrap();
+            (0..3)
+                .map(|_| {
+                    let started = Instant::now();
+                    let snapshot = system.build_routing_snapshot();
+                    let elapsed = started.elapsed();
+                    assert_eq!(snapshot.slots(), n);
+                    elapsed
+                })
+                .min()
+                .unwrap()
+        }
+        let small = best_export(256);
+        let large = best_export(2048);
+        let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
+        assert!(
+            ratio < 24.0,
+            "8x the peers cost {ratio:.1}x the export time ({small:?} -> {large:?})"
+        );
+    }
+
+    #[test]
+    fn republish_after_churn_shares_the_item_arrays() {
+        let mut system = loaded(17);
+        let cell = SnapshotCell::new(system.build_routing_snapshot());
+        let before = cell.load();
+        system.join_random().unwrap();
+        system.leave_random().unwrap();
+        cell.publish(system.build_routing_snapshot());
+        let after = cell.load();
+        // At k = 1 a join or leave moves slices between peers, never a
+        // stored key out of the global key order.
+        let shared = after.shared_arrays(&before);
+        for array in ["item_key", "item_cum"] {
+            assert!(shared.contains(&array), "{array} not shared: {shared:?}");
+        }
+
+        let domain = system.domain();
+        let fresh = domain.low() + 2;
+        system.insert(fresh, fresh).unwrap();
+        cell.publish(system.build_routing_snapshot());
+        let inserted = cell.load();
+        let shared = inserted.shared_arrays(&after);
+        for array in ["item_key", "item_cum"] {
+            assert!(!shared.contains(&array), "{array} shared after insert");
+        }
+        assert_eq!(inserted.total_items(), after.total_items() + 1);
+        let mut counters = ServeCounters::default();
+        assert_eq!(inserted.exact(fresh, 0, &mut counters).matches, 1);
     }
 }

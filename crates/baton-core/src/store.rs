@@ -172,6 +172,12 @@ impl LocalStore {
             .flat_map(|(k, vs)| vs.iter().map(move |v| (*k, *v)))
     }
 
+    /// Iterates over the distinct stored keys in key order, each with its
+    /// number of stored values.
+    pub fn key_counts(&self) -> impl Iterator<Item = (Key, usize)> + '_ {
+        self.entries.iter().map(|(k, vs)| (*k, vs.len()))
+    }
+
     /// The median stored key — the key below which half of the stored
     /// *values* fall.  Used to pick data-migration boundaries during load
     /// balancing so each side ends up with about half the load.

@@ -1253,21 +1253,7 @@ impl D3TreeSystem {
             }
             for peer in &bucket.peers {
                 let slot = builder.push_slot(peer.peer.0, peer.range.high, true);
-                let mut run: Option<(u64, u64)> = None;
-                for &key in &peer.keys {
-                    match &mut run {
-                        Some((k, count)) if *k == key => *count += 1,
-                        _ => {
-                            if let Some((k, count)) = run.take() {
-                                builder.push_item(k, count);
-                            }
-                            run = Some((key, 1));
-                        }
-                    }
-                }
-                if let Some((k, count)) = run {
-                    builder.push_item(k, count);
-                }
+                builder.push_sorted_keys(peer.keys.iter().copied());
                 builder.seal_slot();
                 peers_of.push((slot, peer));
             }

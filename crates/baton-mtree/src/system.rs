@@ -874,21 +874,7 @@ impl MTreeSystem {
         order.sort_by_key(|node| node.range.low);
         for node in &order {
             builder.push_slot(node.peer.0, node.range.high, true);
-            let mut run: Option<(u64, u64)> = None;
-            for &key in &node.keys {
-                match &mut run {
-                    Some((k, count)) if *k == key => *count += 1,
-                    _ => {
-                        if let Some((k, count)) = run.take() {
-                            builder.push_item(k, count);
-                        }
-                        run = Some((key, 1));
-                    }
-                }
-            }
-            if let Some((k, count)) = run {
-                builder.push_item(k, count);
-            }
+            builder.push_sorted_keys(node.keys.iter().copied());
             builder.seal_slot();
         }
         for (slot, node) in order.iter().enumerate() {

@@ -157,7 +157,9 @@ impl ServeCounters {
 /// Slots are the overlay's peers in key order (partition overlays) or ring
 /// identifier order (hashed ring).  All per-slot data lives in dense
 /// flat/CSR arrays, so a snapshot is a handful of contiguous allocations
-/// that any number of threads can read concurrently.
+/// that any number of threads can read concurrently.  Each array is its own
+/// `Arc`, so consecutive versions can share the arrays a structural change
+/// left untouched (see [`SnapshotCell::publish`]).
 #[derive(Clone, Debug)]
 pub struct RoutingSnapshot {
     version: u64,
@@ -167,30 +169,30 @@ pub struct RoutingSnapshot {
     /// `[low, high)` key domain (partition) or `[0, ring_size)` (ring).
     domain: (u64, u64),
     /// Peer address of each slot ([`crate::PeerId::raw`]-compatible).
-    slot_peer: Vec<u32>,
+    slot_peer: Arc<[u32]>,
     /// Exclusive range high of each slot (partition), or the slot's ring
     /// identifier (ring); strictly increasing either way.
-    slot_high: Vec<u64>,
+    slot_high: Arc<[u64]>,
     /// Liveness of each slot's peer at snapshot time.
-    slot_alive: Vec<bool>,
+    slot_alive: Arc<[bool]>,
     /// CSR offsets into `item_key`/`item_cum` (`len == slots + 1`).
-    item_off: Vec<u32>,
+    item_off: Arc<[u32]>,
     /// Distinct stored keys per slot, sorted within each slot segment; the
     /// concatenation over partition slots is globally sorted.
-    item_key: Vec<u64>,
+    item_key: Arc<[u64]>,
     /// Prefix sums of per-key value counts (`len == item_key.len() + 1`):
     /// the count stored under `item_key[i]` is `item_cum[i+1]-item_cum[i]`.
-    item_cum: Vec<u64>,
+    item_cum: Arc<[u64]>,
     /// CSR offsets into the link arrays (`len == slots + 1`).
-    link_off: Vec<u32>,
+    link_off: Arc<[u32]>,
     /// Link targets, as slot indices.
-    link_target: Vec<u32>,
+    link_target: Arc<[u32]>,
     /// Link classes, parallel to `link_target`.
-    link_kind: Vec<LinkKind>,
+    link_kind: Arc<[LinkKind]>,
     /// CSR offsets into `repl_target` (`len == slots + 1`).
-    repl_off: Vec<u32>,
+    repl_off: Arc<[u32]>,
     /// Replica slots per slot, in placement preference order.
-    repl_target: Vec<u32>,
+    repl_target: Arc<[u32]>,
 }
 
 /// Hashes a key onto a ring of `ring` identifiers — the SplitMix64
@@ -264,6 +266,54 @@ impl RoutingSnapshot {
             + self.link_kind.len()
             + self.repl_off.len() * 4
             + self.repl_target.len() * 4) as u64
+    }
+
+    /// Names of the arrays this snapshot shares with `other` by allocation
+    /// (not merely by contents): what a reader moving between the two
+    /// versions keeps in its cache.
+    pub fn shared_arrays(&self, other: &RoutingSnapshot) -> Vec<&'static str> {
+        fn same<T>(a: &Arc<[T]>, b: &Arc<[T]>) -> bool {
+            Arc::ptr_eq(a, b)
+        }
+        [
+            ("slot_peer", same(&self.slot_peer, &other.slot_peer)),
+            ("slot_high", same(&self.slot_high, &other.slot_high)),
+            ("slot_alive", same(&self.slot_alive, &other.slot_alive)),
+            ("item_off", same(&self.item_off, &other.item_off)),
+            ("item_key", same(&self.item_key, &other.item_key)),
+            ("item_cum", same(&self.item_cum, &other.item_cum)),
+            ("link_off", same(&self.link_off, &other.link_off)),
+            ("link_target", same(&self.link_target, &other.link_target)),
+            ("link_kind", same(&self.link_kind, &other.link_kind)),
+            ("repl_off", same(&self.repl_off, &other.repl_off)),
+            ("repl_target", same(&self.repl_target, &other.repl_target)),
+        ]
+        .into_iter()
+        .filter_map(|(name, shared)| shared.then_some(name))
+        .collect()
+    }
+
+    /// Replaces every array whose contents equal `previous`'s with
+    /// `previous`'s allocation.  Answers cannot change (only equal contents
+    /// are shared); a reader moving from `previous` to this version keeps
+    /// its cached lines for everything a structural change left alone.
+    fn share_unchanged(&mut self, previous: &RoutingSnapshot) {
+        fn share<T: PartialEq>(next: &mut Arc<[T]>, previous: &Arc<[T]>) {
+            if **next == **previous {
+                *next = Arc::clone(previous);
+            }
+        }
+        share(&mut self.slot_peer, &previous.slot_peer);
+        share(&mut self.slot_high, &previous.slot_high);
+        share(&mut self.slot_alive, &previous.slot_alive);
+        share(&mut self.item_off, &previous.item_off);
+        share(&mut self.item_key, &previous.item_key);
+        share(&mut self.item_cum, &previous.item_cum);
+        share(&mut self.link_off, &previous.link_off);
+        share(&mut self.link_target, &previous.link_target);
+        share(&mut self.link_kind, &previous.link_kind);
+        share(&mut self.repl_off, &previous.repl_off);
+        share(&mut self.repl_target, &previous.repl_target);
     }
 
     /// The slot owning `key`, per the snapshot's placement, or `None` for
@@ -491,10 +541,26 @@ impl RoutingSnapshot {
 /// indices through [`SnapshotBuilder::slot_of`] after all slots are pushed.
 #[derive(Debug)]
 pub struct SnapshotBuilder {
-    snapshot: RoutingSnapshot,
+    overlay: String,
+    placement: ExactPlacement,
+    range_supported: bool,
+    domain: (u64, u64),
+    slot_peer: Vec<u32>,
+    slot_high: Vec<u64>,
+    slot_alive: Vec<bool>,
+    item_off: Vec<u32>,
+    item_key: Vec<u64>,
+    item_cum: Vec<u64>,
     links: Vec<Vec<(u32, LinkKind)>>,
     replicas: Vec<Vec<u32>>,
+    /// Slot of each peer id ([`NO_SLOT`] where the peer has none).  Peer
+    /// ids are dense and never reused, so a flat table indexed by id costs
+    /// memory proportional to the ids handed out so far.
+    slot_index: Vec<u32>,
 }
+
+/// Marks a peer id without a slot in [`SnapshotBuilder::slot_index`].
+const NO_SLOT: u32 = u32::MAX;
 
 impl SnapshotBuilder {
     /// Starts a snapshot of `overlay` with the given placement and domain.
@@ -505,26 +571,19 @@ impl SnapshotBuilder {
         domain: (u64, u64),
     ) -> Self {
         Self {
-            snapshot: RoutingSnapshot {
-                version: 0,
-                overlay: overlay.to_string(),
-                placement,
-                range_supported,
-                domain,
-                slot_peer: Vec::new(),
-                slot_high: Vec::new(),
-                slot_alive: Vec::new(),
-                item_off: vec![0],
-                item_key: Vec::new(),
-                item_cum: vec![0],
-                link_off: Vec::new(),
-                link_target: Vec::new(),
-                link_kind: Vec::new(),
-                repl_off: Vec::new(),
-                repl_target: Vec::new(),
-            },
+            overlay: overlay.to_string(),
+            placement,
+            range_supported,
+            domain,
+            slot_peer: Vec::new(),
+            slot_high: Vec::new(),
+            slot_alive: Vec::new(),
+            item_off: vec![0],
+            item_key: Vec::new(),
+            item_cum: vec![0],
             links: Vec::new(),
             replicas: Vec::new(),
+            slot_index: Vec::new(),
         }
     }
 
@@ -533,43 +592,70 @@ impl SnapshotBuilder {
     /// the slot index.
     pub fn push_slot(&mut self, peer: u32, high: u64, alive: bool) -> usize {
         debug_assert!(
-            self.snapshot
-                .slot_high
-                .last()
-                .is_none_or(|&prev| prev < high),
+            self.slot_high.last().is_none_or(|&prev| prev < high),
             "slots must be pushed in ascending order"
         );
-        self.snapshot.slot_peer.push(peer);
-        self.snapshot.slot_high.push(high);
-        self.snapshot.slot_alive.push(alive);
+        let slot = self.slot_peer.len();
+        self.slot_peer.push(peer);
+        self.slot_high.push(high);
+        self.slot_alive.push(alive);
         self.links.push(Vec::new());
         self.replicas.push(Vec::new());
-        self.snapshot.slot_peer.len() - 1
+        let id = peer as usize;
+        if id >= self.slot_index.len() {
+            self.slot_index.resize(id + 1, NO_SLOT);
+        }
+        // The first slot pushed for a peer keeps it.
+        if self.slot_index[id] == NO_SLOT {
+            self.slot_index[id] = slot as u32;
+        }
+        slot
     }
 
     /// Appends one distinct stored key (with its value count) to the most
     /// recently pushed slot.  Keys must arrive sorted per slot.
     pub fn push_item(&mut self, key: u64, count: u64) {
-        debug_assert!(!self.snapshot.slot_peer.is_empty(), "push_slot first");
+        debug_assert!(!self.slot_peer.is_empty(), "push_slot first");
         debug_assert!(count > 0, "zero-count item");
-        self.snapshot.item_key.push(key);
-        let total = self.snapshot.item_cum.last().copied().unwrap_or(0);
-        self.snapshot.item_cum.push(total + count);
+        debug_assert!(
+            self.item_key[*self.item_off.last().unwrap_or(&0) as usize..]
+                .last()
+                .is_none_or(|&prev| prev < key),
+            "keys must arrive sorted and distinct per slot"
+        );
+        self.item_key.push(key);
+        let total = self.item_cum.last().copied().unwrap_or(0);
+        self.item_cum.push(total + count);
+    }
+
+    /// Appends a sorted key stream (duplicates adjacent) to the most
+    /// recently pushed slot as one item per distinct key, run-length
+    /// encoded into `(key, count)`.
+    pub fn push_sorted_keys(&mut self, keys: impl IntoIterator<Item = u64>) {
+        let mut keys = keys.into_iter().peekable();
+        while let Some(key) = keys.next() {
+            let mut count = 1;
+            while keys.next_if_eq(&key).is_some() {
+                count += 1;
+            }
+            self.push_item(key, count);
+        }
     }
 
     /// Seals the most recently pushed slot's item segment.  Must be called
     /// once per slot, after its items.
     pub fn seal_slot(&mut self) {
-        self.snapshot
-            .item_off
-            .push(self.snapshot.item_key.len() as u32);
+        self.item_off.push(self.item_key.len() as u32);
     }
 
-    /// The slot index a peer landed at, for link/replica resolution.
+    /// The slot index a peer landed at, for link/replica resolution: one
+    /// table lookup, `None` for a peer without a slot.
+    #[inline]
     pub fn slot_of(&self, peer: u32) -> Option<usize> {
-        // Extraction-time only; a scan keeps the builder allocation-light
-        // and extraction is O(N) slots anyway.
-        self.snapshot.slot_peer.iter().position(|&p| p == peer)
+        match self.slot_index.get(peer as usize) {
+            Some(&slot) if slot != NO_SLOT => Some(slot as usize),
+            _ => None,
+        }
     }
 
     /// Records a routing link from `slot` to `target` of class `kind`.
@@ -588,30 +674,48 @@ impl SnapshotBuilder {
 
     /// Flattens the per-slot link/replica tables and returns the finished
     /// snapshot (version 0 until published through a [`SnapshotCell`]).
-    pub fn finish(mut self) -> RoutingSnapshot {
+    pub fn finish(self) -> RoutingSnapshot {
         debug_assert_eq!(
-            self.snapshot.item_off.len(),
-            self.snapshot.slot_peer.len() + 1,
+            self.item_off.len(),
+            self.slot_peer.len() + 1,
             "every slot must be sealed exactly once"
         );
-        self.snapshot.link_off.push(0);
+        let mut link_off = Vec::with_capacity(self.links.len() + 1);
+        let mut link_target = Vec::new();
+        let mut link_kind = Vec::new();
+        link_off.push(0);
         for links in &self.links {
             for &(target, kind) in links {
-                self.snapshot.link_target.push(target);
-                self.snapshot.link_kind.push(kind);
+                link_target.push(target);
+                link_kind.push(kind);
             }
-            self.snapshot
-                .link_off
-                .push(self.snapshot.link_target.len() as u32);
+            link_off.push(link_target.len() as u32);
         }
-        self.snapshot.repl_off.push(0);
+        let mut repl_off = Vec::with_capacity(self.replicas.len() + 1);
+        let mut repl_target = Vec::new();
+        repl_off.push(0);
         for replicas in &self.replicas {
-            self.snapshot.repl_target.extend_from_slice(replicas);
-            self.snapshot
-                .repl_off
-                .push(self.snapshot.repl_target.len() as u32);
+            repl_target.extend_from_slice(replicas);
+            repl_off.push(repl_target.len() as u32);
         }
-        self.snapshot
+        RoutingSnapshot {
+            version: 0,
+            overlay: self.overlay,
+            placement: self.placement,
+            range_supported: self.range_supported,
+            domain: self.domain,
+            slot_peer: self.slot_peer.into(),
+            slot_high: self.slot_high.into(),
+            slot_alive: self.slot_alive.into(),
+            item_off: self.item_off.into(),
+            item_key: self.item_key.into(),
+            item_cum: self.item_cum.into(),
+            link_off: link_off.into(),
+            link_target: link_target.into(),
+            link_kind: link_kind.into(),
+            repl_off: repl_off.into(),
+            repl_target: repl_target.into(),
+        }
     }
 }
 
@@ -649,7 +753,18 @@ impl SnapshotCell {
     /// returns that version.  In-flight readers keep their old `Arc` and
     /// finish their batch on it; they observe the new version at their next
     /// refresh.
+    ///
+    /// Every array of `snapshot` whose contents equal the current version's
+    /// is replaced by the current version's allocation before the swap, so
+    /// a refreshing reader keeps its cached lines for whatever the change
+    /// left alone (a join or leave at k = 1 moves no stored key, so the
+    /// item arrays — most of a loaded snapshot's bytes — carry over).  The
+    /// check costs one comparison per array.  It runs outside the lock:
+    /// sharing depends on contents alone, so it stays correct even if
+    /// another writer swaps the cell meanwhile, and refreshing readers
+    /// never wait on it.
     pub fn publish(&self, mut snapshot: RoutingSnapshot) -> u64 {
+        snapshot.share_unchanged(&self.load());
         let mut current = self.current.lock().expect("snapshot cell poisoned");
         let next = self.version.load(Ordering::Relaxed) + 1;
         snapshot.version = next;
@@ -698,8 +813,9 @@ impl SnapshotReader {
     pub fn refresh(&mut self) {
         let published = self.cell.version.load(Ordering::Acquire);
         if published != self.seen {
-            let current = self.cell.current.lock().expect("snapshot cell poisoned");
-            self.cached = current.clone();
+            // The lock is released before the old snapshot is dropped, so
+            // freeing it never holds up a publish.
+            self.cached = self.cell.load();
             self.seen = self.cached.version();
             self.refreshes += 1;
         }
@@ -847,6 +963,79 @@ mod tests {
         assert_eq!(reader.snapshot().version(), 2);
         assert_eq!(reader.snapshot().exact(42, 0, &mut c).matches, 9);
         assert_eq!(reader.refreshes, 1);
+    }
+
+    #[test]
+    fn slot_of_resolves_sparse_high_ids_and_absent_peers() {
+        // After churn, peer ids run far past the slot count.
+        let mut b = SnapshotBuilder::new("t", ExactPlacement::DomainPartition, true, (0, 100));
+        for (peer, high) in [(9_000u32, 25u64), (3, 50), (70_000, 75), (3, 100)] {
+            b.push_slot(peer, high, true);
+            b.seal_slot();
+        }
+        assert_eq!(b.slot_of(9_000), Some(0));
+        assert_eq!(b.slot_of(70_000), Some(2));
+        assert_eq!(
+            b.slot_of(3),
+            Some(1),
+            "the first slot pushed for a peer wins"
+        );
+        assert_eq!(b.slot_of(4), None, "inside the table, no slot");
+        assert_eq!(b.slot_of(70_001), None, "past the largest id");
+        assert_eq!(b.slot_of(u32::MAX), None);
+        assert_eq!(b.finish().slots(), 4);
+    }
+
+    #[test]
+    fn push_sorted_keys_run_length_encodes() {
+        let mut b = SnapshotBuilder::new("t", ExactPlacement::DomainPartition, true, (0, 100));
+        b.push_slot(0, 50, true);
+        b.push_sorted_keys([10, 10, 10, 20, 30, 30]);
+        b.seal_slot();
+        b.push_slot(1, 100, true);
+        b.push_sorted_keys([]);
+        b.seal_slot();
+        let snap = b.finish();
+        let mut c = ServeCounters::default();
+        assert_eq!(snap.exact(10, 0, &mut c).matches, 3);
+        assert_eq!(snap.exact(20, 0, &mut c).matches, 1);
+        assert_eq!(snap.exact(30, 0, &mut c).matches, 2);
+        assert_eq!(snap.total_items(), 6);
+        assert_eq!(snap.range(50, 100, 0, &mut c).matches, 0);
+    }
+
+    #[test]
+    fn publish_shares_exactly_the_unchanged_arrays() {
+        let cell = SnapshotCell::new(toy());
+        let first = cell.load();
+        cell.publish(toy());
+        let same = cell.load();
+        assert_eq!(same.shared_arrays(&first).len(), 11, "equal export");
+
+        // Same slots and links, one more value under slot 2's key.
+        let mut b = SnapshotBuilder::new("toy", ExactPlacement::DomainPartition, true, (0, 100));
+        for (i, high) in [25u64, 50, 75, 100].into_iter().enumerate() {
+            b.push_slot(i as u32, high, true);
+            b.push_item(i as u64 * 25 + 10, (i + 1) as u64 + u64::from(i == 2));
+            b.seal_slot();
+        }
+        for i in 0..4usize {
+            if i > 0 {
+                b.link(i, i - 1, LinkKind::Adjacent);
+            }
+            if i < 3 {
+                b.link(i, i + 1, LinkKind::Adjacent);
+            }
+        }
+        cell.publish(b.finish());
+        let changed = cell.load();
+        let shared = changed.shared_arrays(&same);
+        assert!(!shared.contains(&"item_cum"), "{shared:?}");
+        assert_eq!(shared.len(), 10, "only item_cum changed: {shared:?}");
+        let mut c = ServeCounters::default();
+        assert_eq!(changed.exact(60, 0, &mut c).matches, 4);
+        assert_eq!(same.exact(60, 0, &mut c).matches, 3, "old version intact");
+        assert_eq!(changed.version(), 3);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   (`regional_failure` at N = 10,000, replication degrees 1–3), and the
 //!   serve rows (`serve_snapshot_build`, `serve_exact_t{1,2,4}`,
 //!   `serve_range_t1`, `serve_snapshot_staleness`: the lock-free snapshot
-//!   read path; see the `serve-bench` binary for the standalone driver).
+//!   read path; see the `serve-bench` binary for the standalone driver)
+//!   and the export cost of a 100,000-peer snapshot
+//!   (`serve_snapshot_build_100k`).
 //! * `--profile smoke`: a reduced run for CI (seconds), including reduced
 //!   scale rows.
 //! * `--out PATH`: where to write the JSON report (default

@@ -124,6 +124,10 @@ pub struct PerfProfile {
     /// Largest serve worker count: exact rows run at 1, 2 and 4 threads,
     /// capped by this and by the host's parallelism.
     pub serve_threads_max: usize,
+    /// Nodes in the bulk-built BATON overlay of the
+    /// `serve_snapshot_build_100k` export-cost row (100k at full, the build
+    /// size at smoke).
+    pub serve_export_n: usize,
 }
 
 impl PerfProfile {
@@ -175,6 +179,7 @@ impl PerfProfile {
             serve_range_queries: 100_000,
             serve_swaps: 200,
             serve_threads_max: 4,
+            serve_export_n: 100_000,
         }
     }
 
@@ -217,6 +222,7 @@ impl PerfProfile {
             serve_range_queries: 2_000,
             serve_swaps: 20,
             serve_threads_max: 2,
+            serve_export_n: 300,
         }
     }
 
@@ -1118,7 +1124,11 @@ mod tests {
         if cores > 1 {
             expected.push("serve_exact_t2");
         }
-        expected.extend(["serve_range_t1", "serve_snapshot_staleness"]);
+        expected.extend([
+            "serve_range_t1",
+            "serve_snapshot_staleness",
+            "serve_snapshot_build_100k",
+        ]);
         assert_eq!(ids, expected);
         for m in &measurements {
             assert!(m.work_items > 0, "{} did no work", m.id);

@@ -17,13 +17,17 @@
 //!   cycles, bounding how stale a served answer can be: a reader observes
 //!   a new version after at most one rebuild+publish plus its own batch in
 //!   flight.
+//! * `serve_snapshot_build_100k` — the export alone on a bulk-built
+//!   100k-peer overlay (the build size at smoke), with ns per slot and the
+//!   cost of publishing an equal export in its detail: the per-stage cost
+//!   of a publish at scale.
 //!
 //! The same rows back both `perf` (they ride in `BENCH_perf.json`) and the
 //! standalone `serve-bench` binary.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use baton_net::{Overlay, SimRng, SnapshotCell, SnapshotReader};
 use baton_workload::{
@@ -58,13 +62,18 @@ pub fn serve_thread_counts(profile: &PerfProfile) -> Vec<usize> {
 /// the profile's main size, dataset placed through the direct path so
 /// setup does not swamp the measurements.
 pub fn served_overlay(profile: &PerfProfile, seed: u64) -> Box<dyn Overlay> {
-    let n = profile.build_n;
+    loaded_overlay(profile.build_n, profile.data_scale, seed)
+}
+
+/// A bulk-built `n`-node BATON overlay holding `data_scale` of the paper's
+/// `1000 × n` uniform values, placed through the direct path.
+fn loaded_overlay(n: usize, data_scale: f64, seed: u64) -> Box<dyn Overlay> {
     let mut overlay: Box<dyn Overlay> = Box::new(crate::baton_overlay_bulk(n, seed, 1000));
     let plan = baton_workload::DatasetPlan {
         values_per_node: 1000,
         distribution: KeyDistribution::Uniform,
     }
-    .scaled(profile.data_scale);
+    .scaled(data_scale);
     let data = plan.generate(&mut SimRng::seeded(seed ^ 0xDA7A), n);
     if !overlay.load_direct(&data) {
         runner::bulk_load(&mut *overlay, &data).expect("bulk load");
@@ -180,7 +189,51 @@ pub fn serve_rows(profile: &PerfProfile) -> Vec<Measurement> {
     );
     rows.push(stale_row);
 
+    rows.push(export_row(profile, seed));
     rows
+}
+
+/// The `serve_snapshot_build_100k` row: the two stages of a publish on a
+/// large overlay, timed apart.  The row times the export from a loaded,
+/// bulk-built BATON overlay of `serve_export_n` peers; its detail adds the
+/// cell's publish of a second, equal export — the worst case of the
+/// equal-array check, since every array is compared in full (and then
+/// shared).
+fn export_row(profile: &PerfProfile, seed: u64) -> Measurement {
+    let n = profile.serve_export_n;
+    let overlay = loaded_overlay(n, profile.data_scale, seed);
+    let export = || {
+        overlay
+            .routing_snapshot()
+            .expect("BATON exports routing snapshots")
+    };
+    let (mut row, snapshot) = Measurement::timed(
+        "serve_snapshot_build_100k",
+        format!("RoutingSnapshot export from the loaded {n}-node bulk-built BATON overlay"),
+        "slots",
+        || {
+            let snapshot = export();
+            (snapshot.slots() as u64, snapshot)
+        },
+    );
+    let bytes = snapshot.estimated_bytes();
+    let cell = SnapshotCell::new(snapshot);
+    let first = cell.load();
+    let again = export();
+    let started = Instant::now();
+    cell.publish(again);
+    let publish = started.elapsed();
+    let shared = cell.load().shared_arrays(&first).len();
+    let _ = write!(
+        row.detail,
+        "; export {:.2} ms, {:.0} ns/slot; publish of an equal {:.2} MB export {:.1} us \
+         ({shared} arrays shared)",
+        row.wall_ms,
+        row.wall_ms * 1e6 / row.work_items.max(1) as f64,
+        bytes as f64 / 1e6,
+        publish.as_secs_f64() * 1e6
+    );
+    row
 }
 
 #[cfg(test)]
@@ -198,10 +251,17 @@ mod tests {
         }
         expected.push("serve_range_t1".to_owned());
         expected.push("serve_snapshot_staleness".to_owned());
+        expected.push("serve_snapshot_build_100k".to_owned());
         assert_eq!(ids, expected);
         for row in &rows {
             assert!(row.work_items > 0, "{} did no work", row.id);
         }
+        let export = rows.last().expect("export row");
+        assert!(
+            export.detail.ends_with("(11 arrays shared)"),
+            "an equal export shares every array: {}",
+            export.detail
+        );
         // Every exact row did the same deterministic work regardless of
         // thread count: same query count and same checksum.
         let exact: Vec<&Measurement> = rows
